@@ -222,4 +222,31 @@ cmp "$serve_out" "$serve_out2" || {
   echo "serve smoke: repeated runs are not byte-identical" >&2; exit 1; }
 rm -f "$serve_in" "$serve_out" "$serve_out2"
 
+echo "== rtmdm serve hostile-input smoke =="
+# No single input line may take the server down or win an unsound
+# admit: fetch buffers of 2^63 and 2^64 - 1 bytes (whose double buffer
+# overflows 64 bits) must reject, a 200 000-deep JSON array must be an
+# error record (not a stack overflow), and a well-formed line after
+# them must still admit.
+hostile_in="$(mktemp)"
+hostile_out="$(mktemp)"
+{
+  echo '{"id":"h-2e63","tasks":[{"name":"kws","model":"ds-cnn","period_us":100000,"buffer_bytes":9223372036854775808}]}'
+  echo '{"id":"h-2e64","tasks":[{"name":"kws","model":"ds-cnn","period_us":100000,"buffer_bytes":18446744073709551615}]}'
+  printf '{"id":"h-deep","tasks":'; head -c 200000 /dev/zero | tr '\0' '['; echo
+  echo '{"id":"q-ok","tasks":[{"name":"kws","model":"ds-cnn","period_us":100000}]}'
+} > "$hostile_in"
+./target/release/rtmdm serve --once --input "$hostile_in" > "$hostile_out" || {
+  echo "hostile smoke: serve exited non-zero" >&2; exit 1; }
+[[ "$(wc -l < "$hostile_out")" -eq 4 ]] || {
+  echo "hostile smoke: expected 4 response lines" >&2; exit 1; }
+if grep -E '"id":"h-[a-z0-9]+".*"verdict":"admit"' "$hostile_out"; then
+  echo "hostile smoke: a hostile line was admitted" >&2; exit 1
+fi
+[[ "$(grep -c '"ok":false' "$hostile_out")" -eq 1 ]] || {
+  echo "hostile smoke: deep line did not yield one error record" >&2; exit 1; }
+grep -q '"id":"q-ok".*"verdict":"admit"' "$hostile_out" || {
+  echo "hostile smoke: well-formed line did not admit" >&2; exit 1; }
+rm -f "$hostile_in" "$hostile_out"
+
 echo "CI green."

@@ -5,9 +5,9 @@
 //! (platform, task mix, options) configurations, differing only in
 //! their request ids. This experiment builds a ≥100 k-query fleet over
 //! a small distinct-configuration pool and measures queries/second
-//! **cold** (a fresh [`Service`] per query — every sub-problem computed
-//! from scratch) against **warm** (one shared service answering the
-//! whole fleet through its content-addressed cache).
+//! **cold** (a fresh [`Service`] per query — every answer computed from
+//! scratch) against **warm** (one shared service answering the whole
+//! fleet through its content-addressed answer cache).
 //!
 //! The deterministic per-configuration table (verdict, occupancy,
 //! headroom, and the warm-equals-cold byte-identity gate) lands in

@@ -43,9 +43,8 @@
 //! usage error). The `serve` subcommand runs the admission service:
 //! it reads JSONL admission requests (one JSON object per line) from
 //! stdin or `--input PATH`, answers each on stdout (schema
-//! `rtmdm-serve/1`), and memoizes analysis sub-problems across
-//! queries so fleets of near-identical requests answer from the
-//! cache; `--once` reads the whole input and answers it as one
+//! `rtmdm-serve/1`), and caches whole answers across queries so
+//! fleets of repeated requests answer from the cache; `--once` reads the whole input and answers it as one
 //! sharded batch (input-order output), the default streams
 //! line-by-line. Malformed lines produce `"ok":false` error records,
 //! not a dead stream; `serve` exits 0 even when some lines were
@@ -811,12 +810,8 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     };
     let stats = service.stats();
     eprintln!(
-        "serve: {} queries; reused {} answers, {} lowerings, {} analyses, {} headrooms",
-        stats.queries,
-        stats.answers_reused,
-        stats.lowerings_reused,
-        stats.analyses_reused,
-        stats.headrooms_reused
+        "serve: {} queries; reused {} answers",
+        stats.queries, stats.answers_reused
     );
     match result {
         Ok(()) => ExitCode::SUCCESS,

@@ -30,12 +30,11 @@ use rtmdm_mcusim::{Cycles, PlatformConfig};
 use rtmdm_sched::analysis::hyperperiod;
 use rtmdm_sched::sim::{Policy, SimConfig};
 use rtmdm_sched::TaskSet;
-use rtmdm_xmem::SramArena;
+use rtmdm_xmem::{PlanError, SramArena};
 
 use crate::error::AdmitError;
 use crate::framework::{
-    compute_cap_for, lower_spec, priority_order_for, weight_region_bytes, AdmissionHooks,
-    DirectHooks, FrameworkOptions, RtMdm,
+    lower_specs, priority_order_for, weight_region_bytes, FrameworkOptions, Lowered, RtMdm,
 };
 use crate::spec::{Strategy, TaskSpec};
 
@@ -149,87 +148,14 @@ impl SystemSpec {
 
     /// Runs every static pass and returns the combined report.
     pub fn check(&self) -> Report {
-        self.check_hooked(&DirectHooks)
-    }
-
-    /// [`SystemSpec::check`] with lowering routed through `hooks`: the
-    /// admission service substitutes its content-addressed lowering
-    /// cache so the plan/staging passes run on cached artifacts instead
-    /// of re-segmenting every model per query.
-    pub(crate) fn check_hooked(&self, hooks: &dyn AdmissionHooks) -> Report {
-        let mut report = Report::new();
-
-        report.extend(check_platform(&self.platform));
-        let platform_ok = report.is_clean();
-
-        // Platform-independent passes run unconditionally.
-        for spec in &self.tasks {
-            report.extend(
-                check_model(&spec.model)
-                    .into_iter()
-                    .map(|f| f.with_task(spec.name.clone())),
-            );
-            report.extend(check_timing(&spec.name, spec.period_us, spec.deadline_us));
-        }
-        if !platform_ok {
-            // Cycle conversions and bus timings are meaningless (or
-            // divide by zero) on an invalid platform.
-            return report;
-        }
-
-        // Lower each task exactly as admission would and check the
-        // resulting plans. Staging-race analysis applies to the
-        // pre-spill plan: spill extras are additional staging traffic,
-        // not part of the double-buffered weight discipline.
-        let cap = compute_cap_for(&self.platform, &self.options, &self.tasks);
-        let mut tasks = Vec::with_capacity(self.tasks.len());
-        for spec in &self.tasks {
-            match hooks.lower(&self.platform, &self.options, spec, cap) {
-                Ok(lowered) => {
-                    report.extend(
-                        check_plan(&lowered.pre_plan, &spec.model, &self.options.cost_model)
-                            .into_iter()
-                            .map(|f| f.with_task(spec.name.clone())),
-                    );
-                    if lowered.strategy == Strategy::RtMdm {
-                        report.extend(
-                            check_staging(&lowered.pre_plan, &self.platform)
-                                .into_iter()
-                                .map(|f| f.with_task(spec.name.clone())),
-                        );
-                    }
-                    tasks.push(lowered.task);
-                }
-                Err(AdmitError::Memory(e)) => {
-                    // An unrealizable segmentation is a plan error.
-                    report.push(
-                        Finding::new(Rule::Rtm012, e.to_string())
-                            .with_task(spec.name.clone())
-                            .with_model(spec.model.name().to_owned()),
-                    );
-                }
-                // Timing inconsistencies are already covered by
-                // `check_timing` above.
-                Err(_) => {}
-            }
-        }
-
-        report.extend(self.check_sram());
-
-        // Set-level lints need every task lowered.
-        if !tasks.is_empty() && tasks.len() == self.tasks.len() {
-            let ts = TaskSet::from_tasks(tasks);
-            let order = priority_order_for(&self.platform, &self.options, &ts);
-            let ordered = ts.reordered(&order);
-            let ctx = AdmissionContext {
-                edf: matches!(self.options.policy, Policy::Edf),
-                work_conserving: self.options.work_conserving,
-                dma_aware: self.options.dma_aware_analysis,
-            };
-            report.extend(check_taskset(&ordered, &self.platform, &ctx));
-        }
-
-        report
+        // Lowering needs a valid platform (cycle conversions divide by
+        // its bandwidth); on an invalid one the passes stop before
+        // reading the lowerings.
+        let lowered = match self.platform.validate() {
+            Ok(()) => lower_specs(&self.platform, &self.options, &self.tasks),
+            Err(_) => Vec::new(),
+        };
+        static_passes(&self.platform, &self.options, &self.tasks, &lowered)
     }
 
     /// Runs the static passes, then — when requested and the spec has
@@ -298,15 +224,10 @@ impl SystemSpec {
     /// priority-ordered set, or `None` when any task fails to lower or
     /// the spec is empty (the static passes report why).
     fn lowered_ordered(&self) -> Option<TaskSet> {
-        let cap = compute_cap_for(&self.platform, &self.options, &self.tasks);
-        let mut tasks = Vec::with_capacity(self.tasks.len());
-        for spec in &self.tasks {
-            tasks.push(
-                lower_spec(&self.platform, &self.options, spec, cap)
-                    .ok()?
-                    .task,
-            );
-        }
+        let tasks = lower_specs(&self.platform, &self.options, &self.tasks)
+            .into_iter()
+            .map(|l| l.ok().map(|l| l.task))
+            .collect::<Option<Vec<_>>>()?;
         if tasks.is_empty() {
             return None;
         }
@@ -314,44 +235,136 @@ impl SystemSpec {
         let order = priority_order_for(&self.platform, &self.options, &ts);
         Some(ts.reordered(&order))
     }
+}
 
-    /// Replays the SRAM layout through the arena allocator and checks
-    /// the placed regions for aliasing and overflow.
-    fn check_sram(&self) -> Vec<Finding> {
-        let mut arena = SramArena::new(self.platform.sram_bytes);
-        let mut regions = Vec::new();
-        let mut place = |arena: &mut SramArena, label: String, bytes: u64| {
-            // The arena rejects zero-size requests; a degenerate spec
-            // still gets a 1-byte region so layout checking proceeds.
-            match arena.alloc(label.clone(), bytes.max(1), 8) {
-                Ok(handle) => {
-                    if let Some(offset) = arena.offset_of(handle) {
-                        regions.push(SramRegion::new(label, offset, bytes.max(1)));
-                    }
-                    None
+/// Replays the SRAM layout through the arena allocator and checks the
+/// placed regions for aliasing and overflow.
+fn check_sram(
+    platform: &PlatformConfig,
+    options: &FrameworkOptions,
+    specs: &[TaskSpec],
+) -> Vec<Finding> {
+    let mut arena = SramArena::new(platform.sram_bytes);
+    let mut regions = Vec::new();
+    let mut place = |arena: &mut SramArena, label: String, bytes: Result<u64, PlanError>| {
+        // The arena rejects zero-size requests; a degenerate spec
+        // still gets a 1-byte region so layout checking proceeds.
+        let placed = bytes.and_then(|bytes| {
+            let handle = arena.alloc(label.clone(), bytes.max(1), 8)?;
+            Ok((handle, bytes.max(1)))
+        });
+        match placed {
+            Ok((handle, bytes)) => {
+                if let Some(offset) = arena.offset_of(handle) {
+                    regions.push(SramRegion::new(label, offset, bytes));
                 }
-                Err(e) => Some(Finding::new(
-                    Rule::Rtm004,
-                    format!("SRAM layout fails at region `{label}`: {e}"),
-                )),
+                None
             }
-        };
-        let reserve = rtmdm_xmem::SramLayout::RUNTIME_RESERVE;
-        if let Some(f) = place(&mut arena, "runtime-reserve".to_owned(), reserve) {
+            Err(e) => Some(Finding::new(
+                Rule::Rtm004,
+                format!("SRAM layout fails at region `{label}`: {e}"),
+            )),
+        }
+    };
+    let reserve = rtmdm_xmem::SramLayout::RUNTIME_RESERVE;
+    if let Some(f) = place(&mut arena, "runtime-reserve".to_owned(), Ok(reserve)) {
+        return vec![f];
+    }
+    for spec in specs {
+        let act = spec.resolved_activation_bytes();
+        if let Some(f) = place(&mut arena, format!("{}-activations", spec.name), Ok(act)) {
             return vec![f];
         }
-        for spec in &self.tasks {
-            let act = spec.resolved_activation_bytes();
-            if let Some(f) = place(&mut arena, format!("{}-activations", spec.name), act) {
-                return vec![f];
-            }
-            let weights = weight_region_bytes(&self.options, spec);
-            if let Some(f) = place(&mut arena, format!("{}-weights", spec.name), weights) {
-                return vec![f];
-            }
+        let weights = weight_region_bytes(options, spec);
+        if let Some(f) = place(&mut arena, format!("{}-weights", spec.name), weights) {
+            return vec![f];
         }
-        check_sram_regions(&regions, self.platform.sram_bytes)
     }
+    check_sram_regions(&regions, platform.sram_bytes)
+}
+
+/// Every static pass over `specs`, given their lowerings (one per spec,
+/// in spec order, from [`lower_specs`]). `lowered` is read only when
+/// the platform is valid, so callers may pass an empty slice for an
+/// invalid one.
+pub(crate) fn static_passes(
+    platform: &PlatformConfig,
+    options: &FrameworkOptions,
+    specs: &[TaskSpec],
+    lowered: &[Result<Lowered, AdmitError>],
+) -> Report {
+    let mut report = Report::new();
+
+    report.extend(check_platform(platform));
+    let platform_ok = report.is_clean();
+
+    // Platform-independent passes run unconditionally.
+    for spec in specs {
+        report.extend(
+            check_model(&spec.model)
+                .into_iter()
+                .map(|f| f.with_task(spec.name.clone())),
+        );
+        report.extend(check_timing(&spec.name, spec.period_us, spec.deadline_us));
+    }
+    if !platform_ok {
+        // Cycle conversions and bus timings are meaningless (or divide
+        // by zero) on an invalid platform.
+        return report;
+    }
+
+    // Check the plans of each task lowered exactly as admission lowers
+    // it. Staging-race analysis applies to the pre-spill plan: spill
+    // extras are additional staging traffic, not part of the
+    // double-buffered weight discipline.
+    let mut tasks = Vec::with_capacity(specs.len());
+    for (spec, lowered) in specs.iter().zip(lowered) {
+        match lowered {
+            Ok(lowered) => {
+                report.extend(
+                    check_plan(&lowered.pre_plan, &spec.model, &options.cost_model)
+                        .into_iter()
+                        .map(|f| f.with_task(spec.name.clone())),
+                );
+                if lowered.strategy == Strategy::RtMdm {
+                    report.extend(
+                        check_staging(&lowered.pre_plan, platform)
+                            .into_iter()
+                            .map(|f| f.with_task(spec.name.clone())),
+                    );
+                }
+                tasks.push(lowered.task.clone());
+            }
+            Err(AdmitError::Memory(e)) => {
+                // An unrealizable segmentation is a plan error.
+                report.push(
+                    Finding::new(Rule::Rtm012, e.to_string())
+                        .with_task(spec.name.clone())
+                        .with_model(spec.model.name().to_owned()),
+                );
+            }
+            // Timing inconsistencies are already covered by
+            // `check_timing` above.
+            Err(_) => {}
+        }
+    }
+
+    report.extend(check_sram(platform, options, specs));
+
+    // Set-level lints need every task lowered.
+    if !tasks.is_empty() && tasks.len() == specs.len() {
+        let ts = TaskSet::from_tasks(tasks);
+        let order = priority_order_for(platform, options, &ts);
+        let ordered = ts.reordered(&order);
+        let ctx = AdmissionContext {
+            edf: matches!(options.policy, Policy::Edf),
+            work_conserving: options.work_conserving,
+            dma_aware: options.dma_aware_analysis,
+        };
+        report.extend(check_taskset(&ordered, platform, &ctx));
+    }
+
+    report
 }
 
 /// One hyperperiod plus the largest deadline — the synchronous-pattern
@@ -388,13 +401,6 @@ impl RtMdm {
     /// exploration (see [`SystemSpec::check_with`]).
     pub fn check_with(&self, options: &CheckOptions) -> CheckOutcome {
         self.system_spec().check_with(options)
-    }
-
-    /// [`RtMdm::check`] with lowering routed through `hooks` — the step
-    /// [`RtMdm::admit_hooked`](RtMdm) runs before analysis so the
-    /// admission service's cache also covers the verifier passes.
-    pub(crate) fn check_hooked(&self, hooks: &dyn AdmissionHooks) -> Report {
-        self.system_spec().check_hooked(hooks)
     }
 
     fn system_spec(&self) -> SystemSpec {

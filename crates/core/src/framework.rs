@@ -236,33 +236,10 @@ impl RtMdm {
         self.priority_order(ts)
     }
 
-    /// The per-segment compute cap used when segmenting: the explicit
-    /// option, or a quarter of the shortest deadline in the set.
-    fn compute_cap(&self) -> Option<Cycles> {
-        compute_cap_for(&self.platform, &self.options, &self.specs)
-    }
-
     /// Builds the scheduler task set (insertion order) plus each task's
     /// segmentation plan.
     fn build(&self) -> Result<(TaskSet, Vec<ModelSegmentation>), AdmitError> {
-        self.build_hooked(&DirectHooks)
-    }
-
-    /// [`RtMdm::build`] with lowering routed through `hooks` so the
-    /// admission service can substitute its content-addressed cache.
-    fn build_hooked(
-        &self,
-        hooks: &dyn AdmissionHooks,
-    ) -> Result<(TaskSet, Vec<ModelSegmentation>), AdmitError> {
-        let cap = self.compute_cap();
-        let mut tasks = Vec::with_capacity(self.specs.len());
-        let mut plans = Vec::with_capacity(self.specs.len());
-        for spec in &self.specs {
-            let lowered = hooks.lower(&self.platform, &self.options, spec, cap)?;
-            tasks.push(lowered.task);
-            plans.push(lowered.plan);
-        }
-        Ok((TaskSet::from_tasks(tasks), plans))
+        assemble(lower_specs(&self.platform, &self.options, &self.specs))
     }
 
     /// The priority permutation for the built (insertion-order) set.
@@ -282,7 +259,7 @@ impl RtMdm {
         for spec in &self.specs {
             let act = spec.resolved_activation_bytes();
             arena.alloc(format!("{}-activations", spec.name), act, 8)?;
-            let weights = weight_region_bytes(&self.options, spec);
+            let weights = weight_region_bytes(&self.options, spec)?;
             arena.alloc(format!("{}-weights", spec.name), weights, 8)?;
             rows.push(SramRow {
                 task: spec.name.clone(),
@@ -310,32 +287,32 @@ impl RtMdm {
     /// An admission that *fails the analysis* is not an error — inspect
     /// [`Admission::schedulable`].
     pub fn admit(&self) -> Result<Admission, AdmitError> {
-        self.admit_hooked(&DirectHooks)
-            .map(|(admission, _, _)| admission)
+        self.admit_ordered().map(|(admission, _, _)| admission)
     }
 
-    /// [`RtMdm::admit`] with lowering and analysis routed through
-    /// `hooks` (the admission service substitutes memoized versions),
-    /// additionally returning the lowered, priority-ordered task set —
-    /// so the caller can run follow-up analyses (e.g. sensitivity)
-    /// without re-lowering — and the non-blocking verifier report that
-    /// `admit` computes and discards.
-    pub(crate) fn admit_hooked(
+    /// [`RtMdm::admit`], additionally returning the lowered,
+    /// priority-ordered task set — so the caller can run follow-up
+    /// analyses (e.g. sensitivity) without re-lowering — and the
+    /// non-blocking verifier report that `admit` computes and discards.
+    /// Every spec is lowered exactly once, shared by the verifier
+    /// passes and the task-set build.
+    pub(crate) fn admit_ordered(
         &self,
-        hooks: &dyn AdmissionHooks,
     ) -> Result<(Admission, TaskSet, rtmdm_check::Report), AdmitError> {
         if self.specs.is_empty() {
             return Err(AdmitError::NoTasks);
         }
         let sram = self.plan_sram()?;
-        let report = self.check_hooked(hooks);
+        let lowered = lower_specs(&self.platform, &self.options, &self.specs);
+        let report =
+            crate::check::static_passes(&self.platform, &self.options, &self.specs, &lowered);
         if report.blocks_admission() {
             return Err(AdmitError::Check(report));
         }
-        let (ts, plans) = self.build_hooked(hooks)?;
+        let (ts, plans) = assemble(lowered)?;
         let order = self.priority_order(&ts);
         let ordered = ts.reordered(&order);
-        let mut analysis = hooks.analyze(&ordered, &self.platform, &self.options);
+        let mut analysis = direct_analysis(&ordered, &self.platform, &self.options);
         // Retry-budget admission: under an active fault plan each task
         // must still meet its deadline after paying the worst tolerated
         // re-fetch pattern (bounded by `max_retries` per transfer).
@@ -433,9 +410,8 @@ impl RtMdm {
 /// after activation-spill pricing, plus the strategy-transformed task.
 /// Shared between [`RtMdm::build`] and the static verifier, which needs
 /// the pre-spill plan (spill extras are staging traffic, not part of
-/// the double-buffered weight discipline). `Clone` so the admission
-/// service can hand out cached copies of the artifact.
-#[derive(Debug, Clone)]
+/// the double-buffered weight discipline).
+#[derive(Debug)]
 pub(crate) struct Lowered {
     /// Segmentation as planned, before spill extras.
     pub pre_plan: ModelSegmentation,
@@ -447,54 +423,14 @@ pub(crate) struct Lowered {
     pub strategy: Strategy,
 }
 
-/// Substitution points of the admission pipeline: lowering specs to
-/// scheduler form and running the schedulability analysis. The default
-/// implementations compute directly; the admission service overrides
-/// them with content-addressed caches (see `crate::service`). `Sync`
-/// because the service shards query batches across worker threads that
-/// share one hook instance.
-pub(crate) trait AdmissionHooks: Sync {
-    /// Lowers one spec (defaults to [`lower_spec`]).
-    fn lower(
-        &self,
-        platform: &PlatformConfig,
-        options: &FrameworkOptions,
-        spec: &TaskSpec,
-        cap: Option<Cycles>,
-    ) -> Result<Lowered, AdmitError> {
-        lower_spec(platform, options, spec, cap)
-    }
-
-    /// Runs the schedulability analysis on the priority-ordered set
-    /// (defaults to [`direct_analysis`]).
-    fn analyze(
-        &self,
-        ordered: &TaskSet,
-        platform: &PlatformConfig,
-        options: &FrameworkOptions,
-    ) -> AnalysisOutcome {
-        direct_analysis(ordered, platform, options)
-    }
-}
-
-/// The hook set every one-shot entry point uses: no caching, straight
-/// computation.
-pub(crate) struct DirectHooks;
-
-impl AdmissionHooks for DirectHooks {}
-
 /// The schedulability analysis admission runs on the priority-ordered
 /// set, selected by policy and analysis options.
-pub(crate) fn direct_analysis(
+fn direct_analysis(
     ordered: &TaskSet,
     platform: &PlatformConfig,
     options: &FrameworkOptions,
 ) -> AnalysisOutcome {
-    let mode = if options.work_conserving {
-        SchedulerMode::WorkConserving
-    } else {
-        SchedulerMode::Gated
-    };
+    let mode = scheduler_mode(options);
     match options.policy {
         Policy::Edf => AnalysisOutcome {
             // The EDF processor-demand test yields a yes/no verdict,
@@ -512,10 +448,19 @@ pub(crate) fn direct_analysis(
     }
 }
 
+/// The dispatch discipline the options select.
+pub(crate) fn scheduler_mode(options: &FrameworkOptions) -> SchedulerMode {
+    if options.work_conserving {
+        SchedulerMode::WorkConserving
+    } else {
+        SchedulerMode::Gated
+    }
+}
+
 /// The per-segment compute cap for a spec set: the explicit option
 /// (clamped to at least one cycle), or a quarter of the shortest
 /// deadline.
-pub(crate) fn compute_cap_for(
+fn compute_cap_for(
     platform: &PlatformConfig,
     options: &FrameworkOptions,
     specs: &[TaskSpec],
@@ -530,9 +475,40 @@ pub(crate) fn compute_cap_for(
         .map(|d| (d / 4).max(Cycles::new(1)))
 }
 
+/// Lowers every spec once, in spec order, against the set-derived
+/// compute cap. Failed lowerings stay in place: the verifier reports
+/// them (`RTM012`), the task-set build propagates the first.
+pub(crate) fn lower_specs(
+    platform: &PlatformConfig,
+    options: &FrameworkOptions,
+    specs: &[TaskSpec],
+) -> Vec<Result<Lowered, AdmitError>> {
+    let cap = compute_cap_for(platform, options, specs);
+    specs
+        .iter()
+        .map(|spec| lower_spec(platform, options, spec, cap))
+        .collect()
+}
+
+/// Assembles lowerings into the insertion-order task set plus each
+/// task's segmentation plan; the first failed lowering in spec order is
+/// the error.
+fn assemble(
+    lowered: Vec<Result<Lowered, AdmitError>>,
+) -> Result<(TaskSet, Vec<ModelSegmentation>), AdmitError> {
+    let mut tasks = Vec::with_capacity(lowered.len());
+    let mut plans = Vec::with_capacity(lowered.len());
+    for l in lowered {
+        let l = l?;
+        tasks.push(l.task);
+        plans.push(l.plan);
+    }
+    Ok((TaskSet::from_tasks(tasks), plans))
+}
+
 /// Lowers one spec: segmentation (tiled or capped), activation-spill
 /// pricing, and the strategy transformation into a [`SporadicTask`].
-pub(crate) fn lower_spec(
+fn lower_spec(
     platform: &PlatformConfig,
     options: &FrameworkOptions,
     spec: &TaskSpec,
@@ -614,10 +590,23 @@ pub(crate) fn priority_order_for(
 /// The SRAM weight region a spec reserves under its effective strategy:
 /// a double buffer for streaming strategies, the full parameter
 /// footprint for whole-DNN staging and resident weights.
-pub(crate) fn weight_region_bytes(options: &FrameworkOptions, spec: &TaskSpec) -> u64 {
+///
+/// # Errors
+///
+/// [`PlanError::SizeOverflow`] when the double buffer does not fit in
+/// 64 bits (a fetch buffer above 2^63 bytes).
+pub(crate) fn weight_region_bytes(
+    options: &FrameworkOptions,
+    spec: &TaskSpec,
+) -> Result<u64, PlanError> {
     match options.force_strategy.unwrap_or(spec.strategy) {
-        Strategy::RtMdm | Strategy::FetchThenCompute => 2 * spec.resolved_buffer_bytes(),
-        Strategy::WholeDnn | Strategy::AllInSram => spec.model.total_weight_bytes().max(1),
+        Strategy::RtMdm | Strategy::FetchThenCompute => spec
+            .resolved_buffer_bytes()
+            .checked_mul(2)
+            .ok_or_else(|| PlanError::SizeOverflow {
+                label: format!("{}-weights", spec.name),
+            }),
+        Strategy::WholeDnn | Strategy::AllInSram => Ok(spec.model.total_weight_bytes().max(1)),
     }
 }
 

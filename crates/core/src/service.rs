@@ -1,14 +1,17 @@
 //! Admission-as-a-service: batch/online admission queries over a
-//! content-addressed analysis cache.
+//! whole-answer cache.
 //!
 //! The `rtmdm serve` subcommand feeds JSONL admission requests (one
 //! JSON object per line) through a [`Service`]. A fleet of
-//! near-identical device configurations asks the same sub-questions over and
-//! over — lowering the same spec against the same platform, running the
-//! same RTA fixed point, scaling the same set for headroom — so the
-//! service memoizes each sub-problem under a canonical key
+//! near-identical device configurations asks the same question over and
+//! over, so the service caches each finished answer under a compact
+//! canonical key of the resolved request
 //! ([`rtmdm_sched::analysis::canonical_key`]) and answers repeats from
-//! the cache.
+//! the cache. A new question runs the admission pipeline directly:
+//! each spec is lowered once, analyzed once, and the headroom search
+//! runs on the admitted set. There are deliberately no sub-problem
+//! caches: keying a lowering canonically costs far more than the
+//! ~8 µs lowering itself (DESIGN.md §2.6).
 //!
 //! # Wire format
 //!
@@ -29,8 +32,8 @@
 //! # The cache-correctness invariant
 //!
 //! Responses carry **no** marker distinguishing a cache hit from a
-//! fresh computation, and every cached value is the exact value the
-//! direct computation produces. Warm answers are therefore
+//! fresh computation, and the cached answer is the exact value the
+//! direct computation produced. Warm answers are therefore
 //! byte-identical to cold ones, which is what makes sharding a batch
 //! across worker threads over one shared cache safe: output depends
 //! only on input order, never on thread count or arrival order
@@ -43,19 +46,14 @@ use std::sync::{OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard
 use rtmdm_check::Report;
 use rtmdm_dnn::zoo;
 use rtmdm_mcusim::{Cycles, PlatformConfig};
-use rtmdm_sched::analysis::{
-    analysis_key, canonical_key, critical_scaling_ppm, AnalysisOutcome, SchedulerMode,
-};
+use rtmdm_sched::analysis::{canonical_key, critical_scaling_ppm};
 use rtmdm_sched::sim::Policy;
-use rtmdm_sched::{MissPolicy, TaskSet};
+use rtmdm_sched::MissPolicy;
 use serde::{Content, Serialize};
 
 use crate::check::SystemSpec;
 use crate::error::AdmitError;
-use crate::framework::{
-    direct_analysis, lower_spec, AdmissionHooks, FrameworkOptions, Lowered, PriorityAssignment,
-    RtMdm,
-};
+use crate::framework::{scheduler_mode, FrameworkOptions, PriorityAssignment, RtMdm};
 use crate::spec::{Strategy, TaskSpec};
 
 pub use rtmdm_check::JsonReport;
@@ -64,7 +62,7 @@ pub use rtmdm_check::JsonReport;
 pub const SERVE_SCHEMA: &str = "rtmdm-serve/1";
 
 /// Takes a shared read lock, recovering the guard if a previous holder
-/// panicked. Every cached value is immutable once inserted, so a
+/// panicked. Every cached answer is immutable once inserted, so a
 /// poisoned map is still internally consistent — dropping the whole
 /// cache over a worker panic would only cost recomputation, not
 /// correctness.
@@ -84,9 +82,6 @@ fn write<T>(m: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 struct Counters {
     queries: AtomicU64,
     answers_reused: AtomicU64,
-    lowerings_reused: AtomicU64,
-    analyses_reused: AtomicU64,
-    headrooms_reused: AtomicU64,
 }
 
 /// A point-in-time snapshot of the service's cache telemetry.
@@ -96,11 +91,14 @@ pub struct CacheStats {
     pub queries: u64,
     /// Full queries answered straight from the response cache.
     pub answers_reused: u64,
-    /// Spec lowerings (segmentation + strategy transform) reused.
+    /// Always 0: the lowering cache was removed. Retained for API
+    /// compatibility.
     pub lowerings_reused: u64,
-    /// Schedulability-analysis fixed points reused.
+    /// Always 0: the analysis cache was removed. Retained for API
+    /// compatibility.
     pub analyses_reused: u64,
-    /// Headroom (critical-scaling) binary searches reused.
+    /// Always 0: the headroom cache was removed. Retained for API
+    /// compatibility.
     pub headrooms_reused: u64,
 }
 
@@ -161,14 +159,14 @@ struct ErrorRecord {
     error: String,
 }
 
-/// The admission service: a shared, content-addressed memo of every
-/// sub-problem the admission pipeline computes.
+/// The admission service: a shared, content-addressed cache of finished
+/// answers in front of the direct admission pipeline.
 ///
-/// All methods take `&self`; the caches are interior-mutable behind
-/// reader-writer locks, so one `Service` can be shared by the worker
+/// All methods take `&self`; the cache is interior-mutable behind a
+/// reader-writer lock, so one `Service` can be shared by the worker
 /// threads of a sharded batch, and the warm path — a fleet of repeats
-/// hitting keys that are already cached — takes only shared read
-/// locks, never serializing the workers behind one another. The write
+/// hitting keys that are already cached — takes only a shared read
+/// lock, never serializing the workers behind one another. The write
 /// lock is held for the insert alone, never across a computation. Two
 /// workers racing on the same missing key may both compute it — the
 /// computation is deterministic, so whichever insert lands first wins
@@ -188,15 +186,6 @@ struct ErrorRecord {
 /// ```
 #[derive(Debug, Default)]
 pub struct Service {
-    /// `canonical_key("lower", …)` → lowered spec. Only successful
-    /// lowerings are cached; errors are rare and cheap to recompute
-    /// (and [`AdmitError`] is deliberately not `Clone`).
-    lowerings: RwLock<HashMap<String, Lowered>>,
-    /// Analysis key (policy + dma-awareness + RTA sub-problem) → RTA /
-    /// EDF fixed point.
-    analyses: RwLock<HashMap<String, AnalysisOutcome>>,
-    /// `headroom:` + RTA sub-problem key → critical scaling factor.
-    headrooms: RwLock<HashMap<String, u64>>,
     /// Normalized request (id stripped) → finished answer.
     answers: RwLock<HashMap<String, Answer>>,
     stats: Counters,
@@ -258,9 +247,9 @@ impl Service {
         CacheStats {
             queries: self.stats.queries.load(Ordering::Relaxed),
             answers_reused: self.stats.answers_reused.load(Ordering::Relaxed),
-            lowerings_reused: self.stats.lowerings_reused.load(Ordering::Relaxed),
-            analyses_reused: self.stats.analyses_reused.load(Ordering::Relaxed),
-            headrooms_reused: self.stats.headrooms_reused.load(Ordering::Relaxed),
+            lowerings_reused: 0,
+            analyses_reused: 0,
+            headrooms_reused: 0,
         }
     }
 
@@ -271,176 +260,78 @@ impl Service {
             self.stats.answers_reused.fetch_add(1, Ordering::Relaxed);
             return hit;
         }
-        let answer = self.evaluate(req);
+        let answer = evaluate(req);
         write(&self.answers)
             .entry(key)
             .or_insert_with(|| answer.clone());
         answer
     }
+}
 
-    /// Runs the admission pipeline with the memoizing hooks installed.
-    fn evaluate(&self, req: &ParsedRequest) -> Answer {
-        let hooks = CachedHooks { service: self };
-        let mut fw = match RtMdm::with_options(req.platform.clone(), req.options.clone()) {
-            Ok(fw) => fw,
-            Err(e) => return self.rejected(req, &hooks, e),
-        };
-        for spec in &req.tasks {
-            if let Err(e) = fw.add_task(spec.clone()) {
-                return self.rejected(req, &hooks, e);
-            }
-        }
-        match fw.admit_hooked(&hooks) {
-            Ok((admission, ordered, report)) => {
-                let schedulable = admission.schedulable();
-                let headroom_ppm = if schedulable {
-                    self.headroom_ppm(&ordered, &req.platform, &req.options)
-                } else {
-                    0
-                };
-                Answer {
-                    verdict: if schedulable { "admit" } else { "reject" },
-                    schedulable,
-                    reject_reason: (!schedulable)
-                        .then(|| "schedulability analysis rejected the set".to_owned()),
-                    occupancy_ppm: admission.occupancy_ppm,
-                    headroom_ppm,
-                    rta: rta_rows(&admission),
-                    findings: embed_report(&report),
-                }
-            }
-            Err(e) => self.rejected(req, &hooks, e),
+/// Runs the admission pipeline directly.
+fn evaluate(req: &ParsedRequest) -> Answer {
+    let mut fw = match RtMdm::with_options(req.platform.clone(), req.options.clone()) {
+        Ok(fw) => fw,
+        Err(e) => return rejected(req, e),
+    };
+    for spec in &req.tasks {
+        if let Err(e) = fw.add_task(spec.clone()) {
+            return rejected(req, e);
         }
     }
-
-    /// The answer for a request admission refuses outright (memory,
-    /// timing, blocking findings, …). The static verifier still runs —
-    /// through the same caching hooks — so the caller gets findings
-    /// explaining *why*, not just an error string.
-    fn rejected(&self, req: &ParsedRequest, hooks: &dyn AdmissionHooks, e: AdmitError) -> Answer {
-        let findings = match &e {
-            AdmitError::Check(report) => embed_report(report),
-            _ => {
-                let sys = SystemSpec {
-                    platform: req.platform.clone(),
-                    options: req.options.clone(),
-                    tasks: req.tasks.clone(),
-                };
-                embed_report(&sys.check_hooked(hooks))
+    match fw.admit_ordered() {
+        Ok((admission, ordered, report)) => {
+            let schedulable = admission.schedulable();
+            // Headroom: the largest uniform WCET scaling (ppm) the
+            // RT-MDM analysis still admits. Only meaningful for the
+            // analysis the binary search runs (fixed-priority,
+            // dma-aware); other policies report zero.
+            let headroom_ppm = if schedulable
+                && req.options.policy == Policy::FixedPriority
+                && req.options.dma_aware_analysis
+            {
+                critical_scaling_ppm(&ordered, &req.platform, scheduler_mode(&req.options))
+            } else {
+                0
+            };
+            Answer {
+                verdict: if schedulable { "admit" } else { "reject" },
+                schedulable,
+                reject_reason: (!schedulable)
+                    .then(|| "schedulability analysis rejected the set".to_owned()),
+                occupancy_ppm: admission.occupancy_ppm,
+                headroom_ppm,
+                rta: rta_rows(&admission),
+                findings: embed_report(&report),
             }
-        };
-        Answer {
-            verdict: "reject",
-            schedulable: false,
-            reject_reason: Some(e.to_string()),
-            occupancy_ppm: 0,
-            headroom_ppm: 0,
-            rta: Vec::new(),
-            findings,
         }
-    }
-
-    /// Memoized headroom: the largest uniform WCET scaling (ppm) the
-    /// RT-MDM analysis still admits. Only meaningful for the analysis
-    /// the binary search runs ([`critical_scaling_ppm`] is
-    /// fixed-priority, dma-aware); other policies report zero.
-    fn headroom_ppm(
-        &self,
-        ordered: &TaskSet,
-        platform: &PlatformConfig,
-        options: &FrameworkOptions,
-    ) -> u64 {
-        if options.policy != Policy::FixedPriority || !options.dma_aware_analysis {
-            return 0;
-        }
-        let mode = scheduler_mode(options);
-        let key = format!("headroom:{}", analysis_key(ordered, platform, mode));
-        if let Some(&hit) = read(&self.headrooms).get(&key) {
-            self.stats.headrooms_reused.fetch_add(1, Ordering::Relaxed);
-            return hit;
-        }
-        let value = critical_scaling_ppm(ordered, platform, mode);
-        write(&self.headrooms).insert(key, value);
-        value
+        Err(e) => rejected(req, e),
     }
 }
 
-/// The memoizing [`AdmissionHooks`] implementation: lowering and
-/// analysis consult the service's caches before computing.
-struct CachedHooks<'a> {
-    service: &'a Service,
-}
-
-impl AdmissionHooks for CachedHooks<'_> {
-    fn lower(
-        &self,
-        platform: &PlatformConfig,
-        options: &FrameworkOptions,
-        spec: &TaskSpec,
-        cap: Option<Cycles>,
-    ) -> Result<Lowered, AdmitError> {
-        // The cap is derived from the *whole* spec set (shortest
-        // deadline), so it is an input of this sub-problem, not a
-        // function of `spec` alone.
-        let doc = Content::Map(vec![
-            ("cap".to_owned(), cap.to_content()),
-            ("options".to_owned(), options.to_content()),
-            ("platform".to_owned(), platform.to_content()),
-            ("spec".to_owned(), spec.to_content()),
-        ]);
-        let key = canonical_key("lower", &doc);
-        if let Some(hit) = read(&self.service.lowerings).get(&key).cloned() {
-            self.service
-                .stats
-                .lowerings_reused
-                .fetch_add(1, Ordering::Relaxed);
-            return Ok(hit);
+/// The answer for a request admission refuses outright (memory, timing,
+/// blocking findings, …). The static verifier still runs, so the caller
+/// gets findings explaining *why*, not just an error string.
+fn rejected(req: &ParsedRequest, e: AdmitError) -> Answer {
+    let findings = match &e {
+        AdmitError::Check(report) => embed_report(report),
+        _ => {
+            let sys = SystemSpec {
+                platform: req.platform.clone(),
+                options: req.options.clone(),
+                tasks: req.tasks.clone(),
+            };
+            embed_report(&sys.check())
         }
-        let lowered = lower_spec(platform, options, spec, cap)?;
-        write(&self.service.lowerings).insert(key, lowered.clone());
-        Ok(lowered)
-    }
-
-    fn analyze(
-        &self,
-        ordered: &TaskSet,
-        platform: &PlatformConfig,
-        options: &FrameworkOptions,
-    ) -> AnalysisOutcome {
-        // The RTA key covers (tasks, platform, mode); the analysis
-        // admission actually runs additionally depends on the policy
-        // and the dma-awareness ablation flag, so both join the key.
-        let doc = Content::Map(vec![
-            (
-                "dma_aware".to_owned(),
-                Content::Bool(options.dma_aware_analysis),
-            ),
-            ("policy".to_owned(), options.policy.to_content()),
-            (
-                "rta".to_owned(),
-                Content::Str(analysis_key(ordered, platform, scheduler_mode(options))),
-            ),
-        ]);
-        let key = canonical_key("analysis", &doc);
-        if let Some(hit) = read(&self.service.analyses).get(&key).cloned() {
-            self.service
-                .stats
-                .analyses_reused
-                .fetch_add(1, Ordering::Relaxed);
-            return hit;
-        }
-        let outcome = direct_analysis(ordered, platform, options);
-        write(&self.service.analyses).insert(key, outcome.clone());
-        outcome
-    }
-}
-
-/// The dispatch discipline the options select.
-fn scheduler_mode(options: &FrameworkOptions) -> SchedulerMode {
-    if options.work_conserving {
-        SchedulerMode::WorkConserving
-    } else {
-        SchedulerMode::Gated
+    };
+    Answer {
+        verdict: "reject",
+        schedulable: false,
+        reject_reason: Some(e.to_string()),
+        occupancy_ppm: 0,
+        headroom_ppm: 0,
+        rta: Vec::new(),
+        findings,
     }
 }
 
@@ -856,23 +747,6 @@ mod tests {
     }
 
     #[test]
-    fn single_task_mutation_reuses_unchanged_lowerings() {
-        let s = Service::new();
-        let two = r#"{"name":"kws","model":"ds-cnn","period_us":100000},{"name":"ic","model":"resnet8","period_us":400000}"#;
-        let three = r#"{"name":"kws","model":"ds-cnn","period_us":100000},{"name":"ic","model":"resnet8","period_us":400000},{"name":"ae","model":"autoencoder","period_us":400000}"#;
-        s.answer_line(&line("base", two));
-        let before = s.stats().lowerings_reused;
-        s.answer_line(&line("grown", three));
-        // kws and ic lower identically in the grown set (the derived
-        // segment cap is the same 25 ms), so both come from the cache.
-        assert!(
-            s.stats().lowerings_reused >= before + 2,
-            "stats: {:?}",
-            s.stats()
-        );
-    }
-
-    #[test]
     fn overload_rejects_with_reason_and_infeasible_request_gets_findings() {
         let s = Service::new();
         let out = s.answer_line(&line(
@@ -977,10 +851,9 @@ mod tests {
     }
 
     #[test]
-    fn headroom_is_positive_and_memoized_for_admitted_sets() {
+    fn headroom_is_positive_for_admitted_sets() {
         let s = Service::new();
-        let q = line("h", KWS);
-        let out = s.answer_line(&q);
+        let out = s.answer_line(&line("h", KWS));
         let ppm: u64 = out
             .split(r#""headroom_ppm":"#)
             .nth(1)
@@ -991,11 +864,5 @@ mod tests {
             ppm >= 1_000_000,
             "an admitted set tolerates at least identity scaling: {out}"
         );
-        s.answer_line(&line("h2", KWS));
-        // Second query hits the full-response cache, not the headroom
-        // memo; a *mutated* set that re-derives the same ordered tasks
-        // would hit it. Force a recompute path via a distinct option
-        // that does not change the ordered set or analysis mode.
-        assert_eq!(s.stats().answers_reused, 1);
     }
 }

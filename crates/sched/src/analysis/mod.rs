@@ -20,7 +20,7 @@ mod wcet;
 
 pub use edf::edf_demand_test;
 pub use exact::{hyperperiod, sync_simulation_accepts, sync_simulation_verdict, SyncVerdict};
-pub use key::{analysis_key, canonical_key, KEY_SCHEMA};
+pub use key::{canonical_key, KEY_SCHEMA};
 pub use rta::{
     interference_bounds, rta_limited_preemption, rta_limited_preemption_with, rta_memory_oblivious,
     AnalysisOutcome, InterferenceBound, SchedulerMode,

@@ -88,40 +88,49 @@ impl SramArena {
     ///
     /// # Errors
     ///
-    /// Returns [`PlanError::ArenaExhausted`] if no aligned hole fits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `align` is not a power of two or `bytes` is zero.
+    /// Returns [`PlanError::ArenaExhausted`] if no aligned hole fits
+    /// (including a region whose end would not fit in 64 bits),
+    /// [`PlanError::ZeroSizedRegion`] if `bytes` is zero, and
+    /// [`PlanError::BadAlignment`] if `align` is not a power of two.
     pub fn alloc(
         &mut self,
         label: impl Into<String>,
         bytes: u64,
         align: u64,
     ) -> Result<AllocHandle, PlanError> {
-        assert!(align.is_power_of_two(), "alignment must be a power of two");
-        assert!(bytes > 0, "zero-byte allocations are meaningless");
         let label = label.into();
+        if !align.is_power_of_two() {
+            return Err(PlanError::BadAlignment { label, align });
+        }
+        if bytes == 0 {
+            return Err(PlanError::ZeroSizedRegion { label });
+        }
 
         // Collect live regions sorted by offset to find holes.
         let mut regions: Vec<&Region> = self.live.values().collect();
         regions.sort_by_key(|r| r.offset);
 
+        // The end of a candidate placement at `cursor`, or `None` when
+        // it does not fit in 64 bits (and so fits nowhere).
+        let end_at = |cursor: u64| {
+            let aligned = align_up(cursor, align)?;
+            Some((aligned, aligned.checked_add(bytes)?))
+        };
         let mut cursor = 0u64;
         let mut chosen: Option<u64> = None;
         for r in &regions {
-            let aligned = align_up(cursor, align);
-            if aligned + bytes <= r.offset {
+            if let Some((aligned, _)) = end_at(cursor).filter(|&(_, end)| end <= r.offset) {
                 chosen = Some(aligned);
                 break;
             }
+            // Live regions were placed inside the capacity, so their
+            // ends cannot overflow.
             cursor = cursor.max(r.offset + r.bytes);
         }
         if chosen.is_none() {
-            let aligned = align_up(cursor, align);
-            if aligned + bytes <= self.capacity {
-                chosen = Some(aligned);
-            }
+            chosen = end_at(cursor)
+                .filter(|&(_, end)| end <= self.capacity)
+                .map(|(aligned, _)| aligned);
         }
         let Some(offset) = chosen else {
             return Err(PlanError::ArenaExhausted {
@@ -170,8 +179,10 @@ impl SramArena {
     }
 }
 
-fn align_up(value: u64, align: u64) -> u64 {
-    (value + align - 1) & !(align - 1)
+/// `value` rounded up to a multiple of the power-of-two `align`, or
+/// `None` when that does not fit in 64 bits.
+fn align_up(value: u64, align: u64) -> Option<u64> {
+    Some(value.checked_add(align - 1)? & !(align - 1))
 }
 
 #[cfg(test)]
@@ -253,10 +264,31 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "power of two")]
-    fn non_power_of_two_alignment_panics() {
+    fn bad_requests_are_typed_errors_not_panics() {
         let mut a = SramArena::new(100);
-        let _ = a.alloc("x", 10, 3);
+        assert!(matches!(
+            a.alloc("x", 10, 3),
+            Err(PlanError::BadAlignment { align: 3, .. })
+        ));
+        assert!(matches!(
+            a.alloc("x", 0, 8),
+            Err(PlanError::ZeroSizedRegion { .. })
+        ));
+        assert_eq!(a.used(), 0);
+    }
+
+    #[test]
+    fn regions_ending_past_u64_max_do_not_fit() {
+        let mut a = SramArena::new(u64::MAX);
+        let _ = a.alloc("pad", 3, 1).unwrap();
+        for bytes in [u64::MAX, u64::MAX - 3] {
+            let err = a.alloc("huge", bytes, 8).unwrap_err();
+            assert!(matches!(err, PlanError::ArenaExhausted { .. }), "{err}");
+        }
+        let mut b = SramArena::new(u64::MAX);
+        let _ = b.alloc("small", 8, 8).unwrap();
+        let err = b.alloc("huge", u64::MAX - 4, 8).unwrap_err();
+        assert!(matches!(err, PlanError::ArenaExhausted { .. }), "{err}");
     }
 
     #[test]

@@ -38,6 +38,25 @@ pub enum PlanError {
         /// Bytes still free (possibly fragmented).
         free: u64,
     },
+    /// A region's byte size does not fit in 64 bits (e.g. the double
+    /// buffer of a fetch buffer larger than 2^63 bytes).
+    SizeOverflow {
+        /// Region label.
+        label: String,
+    },
+    /// An arena allocation asked for zero bytes.
+    ZeroSizedRegion {
+        /// Allocation label.
+        label: String,
+    },
+    /// An arena allocation asked for an alignment that is not a power
+    /// of two.
+    BadAlignment {
+        /// Allocation label.
+        label: String,
+        /// The requested alignment.
+        align: u64,
+    },
 }
 
 impl fmt::Display for PlanError {
@@ -60,6 +79,16 @@ impl fmt::Display for PlanError {
             PlanError::ArenaExhausted { label, bytes, free } => write!(
                 f,
                 "cannot allocate {bytes} bytes for {label}; {free} bytes free"
+            ),
+            PlanError::SizeOverflow { label } => {
+                write!(f, "size of {label} overflows 64 bits")
+            }
+            PlanError::ZeroSizedRegion { label } => {
+                write!(f, "cannot allocate zero bytes for {label}")
+            }
+            PlanError::BadAlignment { label, align } => write!(
+                f,
+                "alignment {align} for {label} is not a power of two"
             ),
         }
     }

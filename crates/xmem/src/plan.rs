@@ -290,8 +290,11 @@ impl SramLayout {
             // coexist; 2 × the largest tensor is a safe static bound.
             let act = 2 * model.max_activation_bytes();
             arena.alloc(format!("{}-activations", model.name()), act.max(1), 8)?;
-            let dbuf = 2 * *buffer_bytes;
-            arena.alloc(format!("{}-double-buffer", model.name()), dbuf.max(1), 8)?;
+            let label = format!("{}-double-buffer", model.name());
+            let Some(dbuf) = buffer_bytes.checked_mul(2) else {
+                return Err(PlanError::SizeOverflow { label });
+            };
+            arena.alloc(label, dbuf.max(1), 8)?;
             entries.push((model.name().to_owned(), act, dbuf));
         }
         let total_used = arena.used();
