@@ -54,22 +54,16 @@ cmp "$plain_out" "$zero_out" || {
   echo "fault smoke: zero-rate run differs from no-plan run" >&2; exit 1; }
 rm -f "$fault_out" "$fault_out2" "$plain_out" "$zero_out"
 
-echo "== engine equivalence smoke =="
-# A pinned scenario — faults, jitter and all — simulated under both
-# time-advancement engines must export byte-identical Chrome traces.
-# rtmdm-bench's F12 grid covers the full scenario matrix; this is the
-# cheap always-on gate for the DES-versus-legacy contract.
-eng_legacy="$(mktemp)"
-eng_des="$(mktemp)"
+echo "== faulted golden trace smoke =="
+# A pinned scenario — faults, jitter and all — must export exactly the
+# Chrome trace committed in tests/golden_chrome_faulted.json.
+faulted_out="$(mktemp)"
 ./target/release/rtmdm trace --platform stm32f746-qspi --task kws=ds-cnn@100 \
   --seconds 1 --fault-rate 100000 --fault-seed 7 --fault-jitter 25 \
-  --engine legacy --out "$eng_legacy" --format chrome
-./target/release/rtmdm trace --platform stm32f746-qspi --task kws=ds-cnn@100 \
-  --seconds 1 --fault-rate 100000 --fault-seed 7 --fault-jitter 25 \
-  --engine des --out "$eng_des" --format chrome
-cmp "$eng_legacy" "$eng_des" || {
-  echo "engine smoke: legacy and des traces diverge" >&2; exit 1; }
-rm -f "$eng_legacy" "$eng_des"
+  --out "$faulted_out" --format chrome
+cmp "$faulted_out" tests/golden_chrome_faulted.json || {
+  echo "faulted golden smoke: trace drifted from the golden file" >&2; exit 1; }
+rm -f "$faulted_out"
 
 echo "== rtmdm explain smoke =="
 # The forensics path: a pinned miss-producing scenario must attribute
@@ -226,20 +220,27 @@ echo "== rtmdm serve hostile-input smoke =="
 # No single input line may take the server down or win an unsound
 # admit: fetch buffers of 2^63 and 2^64 - 1 bytes (whose double buffer
 # overflows 64 bits) must reject, a 200 000-deep JSON array must be an
-# error record (not a stack overflow), and a well-formed line after
-# them must still admit.
+# error record (not a stack overflow), 2^64 - 1 periods, deadlines,
+# compute caps and activation budgets and a zero period must each get
+# one answer, and a well-formed line after them must still admit.
 hostile_in="$(mktemp)"
 hostile_out="$(mktemp)"
 {
   echo '{"id":"h-2e63","tasks":[{"name":"kws","model":"ds-cnn","period_us":100000,"buffer_bytes":9223372036854775808}]}'
   echo '{"id":"h-2e64","tasks":[{"name":"kws","model":"ds-cnn","period_us":100000,"buffer_bytes":18446744073709551615}]}'
   printf '{"id":"h-deep","tasks":'; head -c 200000 /dev/zero | tr '\0' '['; echo
+  max=18446744073709551615
+  echo '{"id":"x-period","tasks":[{"name":"kws","model":"ds-cnn","period_us":'$max'}]}'
+  echo '{"id":"x-cap","options":{"segment_compute_cap_us":'$max'},"tasks":[{"name":"kws","model":"ds-cnn","period_us":100000}]}'
+  echo '{"id":"x-budget","tasks":[{"name":"kws","model":"ds-cnn","period_us":100000,"activation_budget_bytes":'$max'}]}'
+  echo '{"id":"x-deadline","tasks":[{"name":"kws","model":"ds-cnn","period_us":100000,"deadline_us":'$max'}]}'
+  echo '{"id":"x-zero","tasks":[{"name":"kws","model":"ds-cnn","period_us":0}]}'
   echo '{"id":"q-ok","tasks":[{"name":"kws","model":"ds-cnn","period_us":100000}]}'
 } > "$hostile_in"
 ./target/release/rtmdm serve --once --input "$hostile_in" > "$hostile_out" || {
   echo "hostile smoke: serve exited non-zero" >&2; exit 1; }
-[[ "$(wc -l < "$hostile_out")" -eq 4 ]] || {
-  echo "hostile smoke: expected 4 response lines" >&2; exit 1; }
+[[ "$(wc -l < "$hostile_out")" -eq 9 ]] || {
+  echo "hostile smoke: expected 9 response lines" >&2; exit 1; }
 if grep -E '"id":"h-[a-z0-9]+".*"verdict":"admit"' "$hostile_out"; then
   echo "hostile smoke: a hostile line was admitted" >&2; exit 1
 fi

@@ -1,11 +1,11 @@
-//! Throughput of the discrete-event scheduler simulator — the substrate
+//! Throughput of the event-driven scheduler simulator — the substrate
 //! every miss-ratio experiment runs on.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use rtmdm_mcusim::{Cycles, FaultPlan, PlatformConfig};
 use rtmdm_sched::gen::{generate, TasksetParams};
-use rtmdm_sched::sim::{simulate, Engine, Policy, SimConfig};
+use rtmdm_sched::sim::{simulate, Policy, SimConfig};
 
 fn bench_simulator(c: &mut Criterion) {
     let p = PlatformConfig::stm32f746_qspi();
@@ -15,15 +15,6 @@ fn bench_simulator(c: &mut Criterion) {
     g.throughput(Throughput::Elements(horizon.get()));
     g.bench_function("gated_4tasks_1s", |b| {
         b.iter(|| simulate(&ts, &p, &SimConfig::new(horizon, Policy::FixedPriority)))
-    });
-    g.bench_function("gated_4tasks_1s_legacy", |b| {
-        b.iter(|| {
-            simulate(
-                &ts,
-                &p,
-                &SimConfig::new(horizon, Policy::FixedPriority).with_engine(Engine::Legacy),
-            )
-        })
     });
     g.bench_function("work_conserving_4tasks_1s", |b| {
         b.iter(|| {
@@ -50,7 +41,6 @@ fn bench_jittered(c: &mut Criterion) {
         seed: 11,
         work_conserving: false,
         fault: FaultPlan::NONE,
-        engine: Engine::Des,
         attribution: false,
         staging_window: 2,
     };

@@ -14,7 +14,7 @@ use rtmdm_bench::{emit, experiments as e, par, results_dir, telemetry};
 type Experiment = (&'static str, fn() -> String);
 
 fn main() {
-    let experiments: [Experiment; 19] = [
+    let experiments: [Experiment; 18] = [
         ("t1_models", e::t1_models),
         ("t2_platforms", e::t2_platforms),
         ("t3_wcrt", e::t3_wcrt),
@@ -29,7 +29,6 @@ fn main() {
         ("f9_energy", e::f9_energy),
         ("f10_platforms", e::f10_platforms),
         ("f11_robustness", e::f11_robustness),
-        ("f12_engine", e::f12_engine),
         ("f13_blame", e::f13_blame),
         ("f14_explore", e::f14_explore),
         ("f14_explore_scale", e::f14_explore_scale),
@@ -56,18 +55,7 @@ fn main() {
         records.push(rec);
         before = after;
     }
-    // Registry snapshot first, so the throughput probe's own runs do
-    // not leak into the experiment aggregate.
     let final_snapshot = registry.snapshot();
-    let engine = e::engine_comparison();
-    println!(
-        "-- engine probe: des {:.2e} cyc/s vs legacy {:.2e} cyc/s \
-         ({:.2}x, equivalent: {})",
-        engine.des_cycles_per_second,
-        engine.legacy_cycles_per_second,
-        engine.speedup,
-        engine.equivalent
-    );
     // The fleet probe already ran inside the f15_fleet experiment;
     // this reuses its cached record instead of re-timing the fleet.
     let fleet = e::fleet_comparison();
@@ -90,14 +78,8 @@ fn main() {
         explore.speedup,
         explore.identical
     );
-    let doc = telemetry::RunMetrics::new(
-        par::num_threads(),
-        records,
-        final_snapshot,
-        engine,
-        fleet,
-        explore,
-    );
+    let doc =
+        telemetry::RunMetrics::new(par::num_threads(), records, final_snapshot, fleet, explore);
     let json = serde_json::to_string(&doc).expect("metrics serialize");
     let metrics_path = results_dir().join("metrics.json");
     if let Err(err) = std::fs::write(&metrics_path, &json) {

@@ -1,12 +1,15 @@
 //! Figure F13 — deadline-miss forensics on a pinned overload scenario.
 //!
-//! The workload is the overload fixture of the F12 equivalence grid
-//! (four generated tasks at 80 % utilization, 20 % DMA fault rate,
-//! seed 23) simulated once with attribution anchors on. The table
-//! decomposes every task's summed response time into the six causal
-//! terms — compute, preemption, blocking fetch, bus contention, fault
-//! re-fetch, dispatch wait — and lists each missed job with its
-//! dominant interference source, exactly as `rtmdm explain` would.
+//! The workload is a pinned overload: four generated tasks (two to
+//! five segments each, fetch/compute ratio 0.3) at 80 % utilization on
+//! the evaluation platform, generator seed 23, fixed priority, gated
+//! dispatch, WCET execution and a 20 % DMA fault rate with up to 50
+//! cycles of transfer jitter, simulated once over four of the longest
+//! period with attribution anchors on. The table decomposes every
+//! task's summed response time into the six causal terms — compute,
+//! preemption, blocking fetch, bus contention, fault re-fetch, dispatch
+//! wait — and lists each missed job with its dominant interference
+//! source, exactly as `rtmdm explain` would.
 //! Everything is deterministic and lands in `results/f13_blame.txt`;
 //! the conservation invariant (`response = Σ terms`, zero tolerance)
 //! is re-validated on every run.
@@ -15,7 +18,7 @@ use rtmdm_core::report;
 use rtmdm_mcusim::{FaultPlan, TaskId, DEFAULT_MAX_RETRIES};
 use rtmdm_obs::attribute;
 use rtmdm_sched::gen::{generate, TasksetParams};
-use rtmdm_sched::sim::{simulate, Engine, Policy, SimConfig};
+use rtmdm_sched::sim::{simulate, Policy, SimConfig};
 
 use crate::experiments::eval_platform;
 
@@ -49,7 +52,6 @@ pub fn f13_blame() -> String {
             max_retries: DEFAULT_MAX_RETRIES,
             jitter_max_cycles: 50,
         },
-        engine: Engine::Des,
         attribution: true,
         staging_window: 2,
     };

@@ -11,8 +11,8 @@
 //! Everything in the table is deterministic (the explorer's DFS order
 //! is fixed), so the table is byte-pinned like every other
 //! `results/*.txt`. Wall time is nondeterministic by nature and lands
-//! in `BENCH_run_all.json` via the harness telemetry, per the same
-//! discipline as the F12 engine throughput probe.
+//! in `BENCH_run_all.json` via the harness telemetry, never in a
+//! byte-pinned table.
 //!
 //! The scale companion (`results/f14_explore_scale.txt`) extends the
 //! same workload family to 6–8 tasks and runs every cell under **both**
@@ -40,7 +40,7 @@ use rtmdm_core::report;
 use rtmdm_mcusim::{FaultPlan, PlatformConfig};
 use rtmdm_sched::gen::{generate, TasksetParams};
 use rtmdm_sched::script::{Choice, ChoicePoint, SimOracle, StateHash};
-use rtmdm_sched::sim::{simulate_with_oracle_forked, Engine, Policy, SimConfig, SimSnapshot};
+use rtmdm_sched::sim::{simulate_with_oracle_forked, Policy, SimConfig, SimSnapshot};
 use rtmdm_sched::TaskSet;
 
 use crate::telemetry::ExploreComparison;
@@ -93,7 +93,6 @@ fn cell(
         seed: 0,
         work_conserving: false,
         fault: FaultPlan::NONE,
-        engine: Engine::Des,
         attribution: true,
         staging_window: 2,
     };

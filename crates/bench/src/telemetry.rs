@@ -34,7 +34,9 @@ use rtmdm_xmem::{pipeline, segment_model, ExecutionStrategy};
 /// in both documents; see [`FleetComparison`]).
 /// v4: added the explorer fork-versus-replay throughput record
 /// (`explore` in both documents; see [`ExploreComparison`]).
-pub const SCHEMA_VERSION: u64 = 4;
+/// v5: dropped the simulator engine-comparison record (`engine` in
+/// both documents); the simulator has a single event loop.
+pub const SCHEMA_VERSION: u64 = 5;
 
 /// Telemetry of one experiment invocation inside `run_all`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -72,25 +74,6 @@ impl ExperimentMetrics {
             sim_cycles_per_second,
         }
     }
-}
-
-/// DES-versus-legacy simulator throughput on a fixed probe scenario
-/// (see `experiments::engine_comparison`). The rates and speedup are
-/// wall-clock based and therefore nondeterministic; `equivalent` is
-/// exact — it records whether both engines produced the identical
-/// trace, stats, and metrics on the probe.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct EngineComparison {
-    /// Simulated cycles of the probe scenario (per engine).
-    pub sim_cycles: u64,
-    /// Simulated cycles retired per wall second, discrete-event engine.
-    pub des_cycles_per_second: f64,
-    /// Simulated cycles retired per wall second, legacy advance loop.
-    pub legacy_cycles_per_second: f64,
-    /// `des_cycles_per_second / legacy_cycles_per_second`.
-    pub speedup: f64,
-    /// Whether both engines agreed byte-for-byte on the probe.
-    pub equivalent: bool,
 }
 
 /// Cold-versus-warm admission-service throughput over a synthetic
@@ -222,8 +205,6 @@ pub struct RunMetrics {
     pub registry: Snapshot,
     /// Deterministic probe numbers (see [`Probe`]).
     pub probe: Probe,
-    /// DES-versus-legacy engine throughput (see [`EngineComparison`]).
-    pub engine: EngineComparison,
     /// Cold-versus-warm admission-service fleet throughput (see
     /// [`FleetComparison`]).
     pub fleet: FleetComparison,
@@ -254,8 +235,6 @@ pub struct BenchSummary {
     pub total_wall_seconds: f64,
     /// Total simulated cycles across the run.
     pub total_sim_cycles: u64,
-    /// DES-versus-legacy engine throughput on the probe scenario.
-    pub engine: EngineComparison,
     /// Per-task response percentiles of the probe scenario
     /// (deterministic; see [`TaskResponseSummary`]).
     pub response: Vec<TaskResponseSummary>,
@@ -274,7 +253,6 @@ impl RunMetrics {
         workers: usize,
         experiments: Vec<ExperimentMetrics>,
         registry: Snapshot,
-        engine: EngineComparison,
         fleet: FleetComparison,
         explore: ExploreComparison,
     ) -> Self {
@@ -290,7 +268,6 @@ impl RunMetrics {
             totals,
             registry,
             probe: probe(),
-            engine,
             fleet,
             explore,
         }
@@ -310,7 +287,6 @@ impl RunMetrics {
                 .collect(),
             total_wall_seconds: self.totals.wall_seconds,
             total_sim_cycles: self.totals.sim_cycles,
-            engine: self.engine.clone(),
             response: self.probe.response.clone(),
             fleet: self.fleet.clone(),
             explore: self.explore.clone(),
@@ -421,13 +397,6 @@ mod tests {
         assert_eq!(e.sim_runs, 3);
         assert_eq!(e.sim_cycles, 600);
         assert!(e.sim_cycles_per_second > 0.0);
-        let engine = EngineComparison {
-            sim_cycles: 200,
-            des_cycles_per_second: 4.0,
-            legacy_cycles_per_second: 2.0,
-            speedup: 2.0,
-            equivalent: true,
-        };
         let fleet = FleetComparison {
             fleet_size: 100_000,
             distinct_configs: 16,
@@ -448,7 +417,7 @@ mod tests {
             speedup: 10.0,
             identical: true,
         };
-        let doc = RunMetrics::new(4, vec![e.clone(), e], after, engine, fleet, explore);
+        let doc = RunMetrics::new(4, vec![e.clone(), e], after, fleet, explore);
         assert_eq!(doc.totals.sim_runs, 6);
         assert_eq!(doc.totals.sim_cycles, 1200);
         let json = serde_json::to_string(&doc).unwrap();
@@ -462,8 +431,8 @@ mod tests {
         let sjson = serde_json::to_string(&summary).unwrap();
         let sback: BenchSummary = serde_json::from_str(&sjson).unwrap();
         assert_eq!(sback.experiments[0].id, "f3_miss_ratio");
-        assert!(sback.engine.equivalent);
-        assert_eq!(sback.engine.speedup, 2.0);
+        assert_eq!(sback.schema_version, SCHEMA_VERSION);
+        assert!(!sjson.contains("\"engine\""), "{sjson}");
         // The summary carries the probe's per-task percentiles.
         assert_eq!(sback.response, doc.probe.response);
         assert!(!sback.response.is_empty());

@@ -13,7 +13,7 @@
 //! [`SimOracle`](rtmdm_sched::script::SimOracle) hook. That makes every
 //! counterexample exact by construction — replaying the witness script
 //! through [`simulate_with_oracle`] reproduces the violating run byte
-//! for byte on either engine.
+//! for byte.
 //!
 //! Search is depth-first over forced-choice prefixes, with converging
 //! interleavings merged through the canonical state fingerprint (see
@@ -544,7 +544,7 @@ fn violation_outcome(
 mod tests {
     use super::*;
     use rtmdm_mcusim::{ContentionModel, FaultPlan};
-    use rtmdm_sched::sim::{Engine, Policy};
+    use rtmdm_sched::sim::Policy;
     use rtmdm_sched::{Segment, SporadicTask, StagingMode};
 
     fn cy(n: u64) -> Cycles {
@@ -591,7 +591,6 @@ mod tests {
             seed: 0,
             work_conserving: false,
             fault: FaultPlan::NONE,
-            engine: Engine::Des,
             attribution: false,
             staging_window: 2,
         }

@@ -21,13 +21,10 @@
 //! `--fault-retries`, `--fault-jitter`) turns on seeded DMA fault
 //! injection for `simulate`/`trace`, and `--miss-policy
 //! continue|abort|skip-next` selects what the runtime does with jobs
-//! that miss their deadline. `--engine legacy|des` picks the
-//! simulator's time-advancement engine; both produce byte-identical
-//! results (the default `des` is faster), so the knob exists for the
-//! equivalence gate and throughput comparisons. `--attribution on|off`
-//! (default `off`) makes `simulate`/`trace` record the causal anchor
-//! events the attribution layer consumes; the default keeps traces
-//! byte-identical to previous releases. The `explain` subcommand
+//! that miss their deadline. `--attribution on|off` (default `off`)
+//! makes `simulate`/`trace` record the causal anchor events the
+//! attribution layer consumes; the default keeps traces byte-identical
+//! to previous releases. The `explain` subcommand
 //! simulates like `trace` with attribution forced on, then prints the
 //! exact six-term response-time decomposition (`response = compute +
 //! blocking_fetch + preemption + bus_contention + fault_refetch +
@@ -70,7 +67,7 @@ use rtmdm_core::{report, FrameworkOptions, RtMdm, Strategy, TaskSpec};
 use rtmdm_dnn::zoo;
 use rtmdm_mcusim::PlatformConfig;
 use rtmdm_obs::Timeline;
-use rtmdm_sched::sim::{Engine, Policy};
+use rtmdm_sched::sim::Policy;
 use rtmdm_sched::MissPolicy;
 
 fn usage() -> ExitCode {
@@ -79,7 +76,7 @@ fn usage() -> ExitCode {
          [--platform NAME] [--task name=model@period_ms[/deadline_ms][:strategy]]… \
          [--seconds S] [--jitter PCT] [--seed N] [--edf] [--work-conserving] \
          [--fault-rate PPM] [--fault-seed N] [--fault-retries N] [--fault-jitter CYCLES] \
-         [--miss-policy continue|abort|skip-next] [--engine legacy|des] \
+         [--miss-policy continue|abort|skip-next] \
          [--attribution on|off] [--out PATH] [--format chrome|jsonl] [--gantt] \
          [--json] [--deny-warnings] [--allow RULE] [--deny RULE] [--explain RULE] \
          [--explore] [--max-states N] [--strategy replay|fork] [--threads N] [--witness PATH] \
@@ -244,18 +241,6 @@ fn parse(args: &[String]) -> Result<Cli, CliError> {
                     _ => {
                         return Err(CliError::Msg(format!(
                             "unknown --miss-policy `{p}` (expected `continue`, `abort`, or `skip-next`)"
-                        )))
-                    }
-                };
-            }
-            "--engine" => {
-                let e = it.next().ok_or(CliError::Usage)?;
-                options.engine = match e.as_str() {
-                    "legacy" => Engine::Legacy,
-                    "des" => Engine::Des,
-                    _ => {
-                        return Err(CliError::Msg(format!(
-                            "unknown --engine `{e}` (expected `legacy` or `des`)"
                         )))
                     }
                 };

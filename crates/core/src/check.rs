@@ -199,7 +199,6 @@ impl SystemSpec {
             seed: 0,
             work_conserving: self.options.work_conserving,
             fault: self.options.fault,
-            engine: self.options.engine,
             attribution: true,
             staging_window: x.staging_window,
         };

@@ -122,7 +122,6 @@ pub fn sync_simulation_accepts(
         seed: 0,
         work_conserving,
         fault: rtmdm_mcusim::FaultPlan::NONE,
-        engine: crate::sim::Engine::default(),
         attribution: false,
         staging_window: 2,
     };

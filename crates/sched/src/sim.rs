@@ -33,30 +33,14 @@
 //!   analysis's single-ceiling inflation bound, and all arithmetic is
 //!   integral, so runs are bit-reproducible.
 //!
-//! ## Time-advancement engines
+//! ## Time advancement
 //!
-//! Two interchangeable engines drive the clock (selected by
-//! [`SimConfig::engine`]); both produce byte-identical traces, stats,
-//! and metrics, a property pinned by differential tests:
-//!
-//! - [`Engine::Legacy`] walks every event cut: each iteration
-//!   recomputes both resources' finish estimates, advances to the
-//!   nearest instant, and settles the elapsed interval immediately.
-//! - [`Engine::Des`] (the default) is a discrete-event engine: timer
-//!   releases and deadline checks live in the event heap, while the CPU
-//!   and the DMA stream each post their wake instant into a
-//!   two-register *wake front* merged with the heap head at the loop
-//!   top (the resource wake set is bounded at two, so two registers are
-//!   the degenerate — and optimal — priority queue for it). Interval
-//!   settlement is deferred until a resource is mutated or completes,
-//!   and the wake registers are re-derived only then: finish instants
-//!   are invariant under settlement cuts, so the cache stays exact.
-//!   Timer instants that change no resource state are processed without
-//!   settlement arithmetic, ready-queue scans, or any heap traffic
-//!   beyond their own pop — idle and uncontended stretches cut by many
-//!   timer events are skipped in O(1) per event instead of paying the
-//!   contended-rate division at every cut. See `DESIGN.md` for the
-//!   heap contract and the settlement-exactness argument.
+//! One event loop drives the clock. Each iteration computes both
+//! resources' finish estimates, advances to the nearest of those and
+//! the timer-heap head (releases, deadline checks), settles the elapsed
+//! interval, then processes the instant: resource completions first,
+//! then the instant's timer events in FIFO order, then dispatch. See
+//! `DESIGN.md` for the settlement-exactness argument.
 
 use std::sync::Arc;
 
@@ -80,26 +64,6 @@ pub enum Policy {
     FixedPriority,
     /// Earliest deadline first over head jobs' absolute deadlines.
     Edf,
-}
-
-/// Time-advancement engine of the simulator (see the module docs).
-///
-/// Both engines are exact and produce byte-identical results; the
-/// discrete-event engine is the default because it skips quiet
-/// stretches in O(1) instead of settling contended progress at every
-/// event cut.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Engine {
-    /// The original instant-stepping loop: every iteration recomputes
-    /// both resources' finish estimates and settles up to the nearest
-    /// event instant. Kept as the reference implementation the
-    /// discrete-event engine is differentially tested against.
-    Legacy,
-    /// Discrete-event engine: resource wake instants are held in a
-    /// two-register wake front merged with the timer heap, and
-    /// settlement is deferred until a resource changes state.
-    #[default]
-    Des,
 }
 
 /// Simulation parameters.
@@ -130,10 +94,6 @@ pub struct SimConfig {
     /// When inactive, the simulator consults no fault RNG and the run
     /// is byte-identical to one without an injector at all.
     pub fault: FaultPlan,
-    /// Time-advancement engine ([`Engine::Des`] by default). The choice
-    /// affects wall-clock throughput only, never results.
-    #[serde(default)]
-    pub engine: Engine,
     /// When `true`, the simulator emits the causal-attribution anchor
     /// events ([`TraceKind::FetchWaitBegan`]/[`TraceKind::FetchWaitEnded`],
     /// [`TraceKind::SegmentStalled`], [`TraceKind::Resumed`]) that the
@@ -170,7 +130,6 @@ impl SimConfig {
             seed: 0,
             work_conserving: false,
             fault: FaultPlan::NONE,
-            engine: Engine::default(),
             attribution: false,
             staging_window: default_staging_window(),
         }
@@ -186,13 +145,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_fault(mut self, fault: FaultPlan) -> Self {
         self.fault = fault;
-        self
-    }
-
-    /// Selects the time-advancement engine (builder style).
-    #[must_use]
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -541,9 +493,9 @@ struct DmaRequest {
 /// boundary (loop top, before the clock advances into the instant).
 ///
 /// A snapshot holds everything that determines future behavior — the
-/// pending-event heap, the DES wake front, both resource slots with
-/// their sub-cycle credits, per-task job queues, the staging request
-/// queue, stats/metrics accumulators — plus the *position* of the run
+/// pending-event heap, both resource slots with their sub-cycle
+/// credits, per-task job queues, the staging request queue,
+/// stats/metrics accumulators — plus the *position* of the run
 /// at capture: how many oracle queries were answered and how many trace
 /// events were emitted before the captured instant. The trace itself is
 /// not copied per snapshot: traces are append-only, so every snapshot
@@ -551,21 +503,13 @@ struct DmaRequest {
 /// truncates it back to the captured length
 /// ([`Trace::truncated`]).
 ///
-/// Deliberately **excluded** are the engine-private dirty flags
-/// (`cpu_dirty`/`dma_dirty`) — both are false at every instant boundary
-/// and differ across engines mid-instant — and the RNG, which is never
-/// consulted in oracle mode (the only mode snapshots exist in). A run
-/// resumed from a snapshot is byte-identical to the run that captured
-/// it, including the oracle fingerprint sequence, on both engines
-/// (pinned by tests).
+/// Deliberately **excluded** is the RNG, which is never consulted in
+/// oracle mode (the only mode snapshots exist in). A run resumed from a
+/// snapshot is byte-identical to the run that captured it, including
+/// the oracle fingerprint sequence (pinned by tests).
 #[derive(Debug, Clone)]
 pub struct SimSnapshot {
     now: Cycles,
-    settled_to: Cycles,
-    cpu_fin: Option<Cycles>,
-    dma_fin: Option<Cycles>,
-    fin_phase_both: bool,
-    needs_dispatch: bool,
     idle_open: bool,
     last_cpu_task: Option<usize>,
     cpu: Option<CpuExec>,
@@ -649,41 +593,6 @@ struct Sim<'a> {
     /// Staging-race observations (see [`StagingRace`]).
     races: Vec<StagingRace>,
 
-    // --- deferred-settlement state (Engine::Des; see DESIGN.md) -----------
-    /// Instant up to which busy/stall accounting and resource progress
-    /// have been applied. Always equals `now` under the legacy engine;
-    /// under DES it lags `now` across quiet stretches.
-    settled_to: Cycles,
-    /// Cached absolute CPU finish instant, valid as of `settled_to`.
-    /// Finish instants are invariant under settlement cuts (the credit
-    /// carry makes `remaining·den − credit` drop by exactly `Δ·PPM`
-    /// per settled cycle), so the cache stays exact until the next
-    /// resource mutation.
-    cpu_fin: Option<Cycles>,
-    /// Cached absolute DMA finish instant (see `cpu_fin`).
-    dma_fin: Option<Cycles>,
-    /// Set when the CPU execution slot was mutated this instant: its
-    /// cached finish instant (half the DES wake front) must be
-    /// re-derived. Tracked per resource because most instants mutate
-    /// only one: the other's finish instant is exact as long as its
-    /// contention phase did not change (see `fin_phase_both`).
-    cpu_dirty: bool,
-    /// Set when the DMA execution slot was mutated this instant (see
-    /// `cpu_dirty`).
-    dma_dirty: bool,
-    /// Whether both resources were busy when the wake front was last
-    /// derived. A flip of this phase changes *both* resources' rates
-    /// (bus-contention inflation), so `refresh_fins` re-derives both
-    /// registers on a flip even when only one slot was written.
-    fin_phase_both: bool,
-    /// Set by every handler that changes what the dispatchers see — a
-    /// job entering a queue, a resource freeing, a job dropped, a fetch
-    /// request enqueued. Instants that mutate nothing (a deadline check
-    /// that records a miss under `Continue`, say) leave it clear, and
-    /// DES skips the ready-queue scans there outright; dispatch is
-    /// deterministic in queue+resource state, so an unchanged state
-    /// re-derives the same no-op the previous instant concluded with.
-    needs_dispatch: bool,
     /// Oracle queries answered so far in *this* run (resumed runs count
     /// from the snapshot, not from time zero). Positions snapshots
     /// relative to the choice sequence.
@@ -723,12 +632,11 @@ pub fn simulate(ts: &TaskSet, platform: &PlatformConfig, config: &SimConfig) -> 
 
 /// Runs the simulation with every nondeterministic decision answered by
 /// `oracle` instead of the seeded RNG and the fault injector (see
-/// [`crate::script`]). The engines consult the oracle in their shared,
+/// [`crate::script`]). The loop consults the oracle in its
 /// deterministic event order, so the query sequence — and therefore a
-/// replayed run — is identical under [`Engine::Legacy`] and
-/// [`Engine::Des`]. An oracle that answers every query with its
-/// deterministic default produces a run byte-identical to
-/// [`simulate`] of the same config (pinned by tests).
+/// replayed run — is a function of the answers alone. An oracle that
+/// answers every query with its deterministic default produces a run
+/// byte-identical to [`simulate`] of the same config (pinned by tests).
 pub fn simulate_with_oracle(
     ts: &TaskSet,
     platform: &PlatformConfig,
@@ -744,9 +652,8 @@ pub fn simulate_with_oracle(
 /// - `resume_from` re-enters a mid-run [`SimSnapshot`] instead of
 ///   starting at time zero: the run continues from the captured instant
 ///   boundary and is byte-identical (trace, stats, metrics, races,
-///   fingerprints) to the suffix of the run that captured it, on either
-///   engine. Its cost is proportional to the *remaining* horizon, not
-///   the full one.
+///   fingerprints) to the suffix of the run that captured it. Its cost
+///   is proportional to the *remaining* horizon, not the full one.
 /// - `capture`, when provided, collects a snapshot at every instant
 ///   boundary that may reach an oracle query (a release entering a job,
 ///   or a DMA completion under an active fault environment), so a
@@ -815,13 +722,6 @@ fn run_sim<'a>(
         injector: FaultInjector::new(config.fault),
         oracle,
         races: Vec::new(),
-        settled_to: Cycles::ZERO,
-        cpu_fin: None,
-        dma_fin: None,
-        cpu_dirty: false,
-        dma_dirty: false,
-        fin_phase_both: false,
-        needs_dispatch: true,
         queries: 0,
         capture,
     };
@@ -833,10 +733,7 @@ fn run_sim<'a>(
             }
         }
     }
-    match config.engine {
-        Engine::Legacy => sim.run_legacy(),
-        Engine::Des => sim.run_des(),
-    }
+    sim.run();
     let result = SimResult {
         trace: sim.trace,
         horizon: config.horizon,
@@ -859,7 +756,7 @@ fn run_sim<'a>(
     // speculative branches an explorer happened to execute. Their
     // throughput is reported by the explorer itself.
     if !oracle_mode {
-        flush_global_metrics(&result, config.engine);
+        flush_global_metrics(&result);
     }
     result
 }
@@ -869,18 +766,13 @@ fn run_sim<'a>(
 /// (e.g. the benchmark harness) enabled the registry. Everything
 /// recorded is a sum, so aggregate totals are independent of the order
 /// (and thread count) in which runs execute.
-fn flush_global_metrics(result: &SimResult, engine: Engine) {
+fn flush_global_metrics(result: &SimResult) {
     let g = rtmdm_obs::metrics::global();
     if !g.is_enabled() {
         return;
     }
     let m = &result.metrics;
     g.add("sim.runs", 1);
-    // Only the non-default engine is labelled, so default-engine
-    // snapshots stay byte-identical to pre-engine-flag telemetry.
-    if engine == Engine::Legacy {
-        g.add("sim.runs_legacy", 1);
-    }
     g.add("sim.cycles", result.horizon.get());
     g.add("sim.trace_events", result.trace.len() as u64);
     g.add("sim.cpu_busy_cycles", m.cpu_busy_cycles.get());
@@ -945,9 +837,8 @@ fn contended_eta(remaining: Cycles, inflation_ppm: u32, credit: u64) -> Cycles {
 }
 
 impl Sim<'_> {
-    /// Enqueues a timer event. Both engines share one queue, so the
-    /// FIFO order among same-instant timer events — and therefore every
-    /// handler side effect — is engine-independent by construction.
+    /// Enqueues a timer event. Same-instant timer events are processed
+    /// in FIFO order.
     fn schedule(&mut self, time: Cycles, ev: TimedEvent) {
         self.events.push(time, ev);
     }
@@ -965,9 +856,9 @@ impl Sim<'_> {
         }
     }
 
-    /// [`Engine::Legacy`]: advance to the nearest event cut every
-    /// iteration and settle the elapsed interval immediately.
-    fn run_legacy(&mut self) {
+    /// The event loop: advance to the nearest event cut every iteration
+    /// and settle the elapsed interval immediately.
+    fn run(&mut self) {
         loop {
             let cpu_fin = self.cpu_finish_estimate();
             let dma_fin = self.dma_finish_estimate();
@@ -1016,126 +907,7 @@ impl Sim<'_> {
             .saturating_sub(self.metrics.cpu_busy_cycles);
     }
 
-    /// [`Engine::Des`]: jump straight to the next event — the earlier
-    /// of the timer-heap head and the two wake registers. Settlement of
-    /// the stretch since `settled_to` happens lazily — only when a
-    /// resource completes here or a handler is about to mutate one
-    /// (`touch`) — so instants that change no resource state cost no
-    /// settlement arithmetic, no ready-queue scans, and no heap traffic
-    /// beyond their own pop. The wake registers are re-derived only
-    /// after a mutating instant (`refresh_fins`); between mutations
-    /// they are exact because finish instants are invariant under
-    /// settlement cuts.
-    fn run_des(&mut self) {
-        loop {
-            let next = [self.cpu_fin, self.dma_fin, self.events.peek_time()]
-                .into_iter()
-                .flatten()
-                .min();
-            let Some(t) = next else {
-                // No events left (e.g. an empty task set): the CPU is
-                // necessarily idle from here to the horizon.
-                self.note_cpu_idle();
-                break;
-            };
-            if t > self.config.horizon {
-                // Account the tail [settled_to, horizon) — resources
-                // may still be busy — without processing the event.
-                let (cf, df) = (self.cpu_fin, self.dma_fin);
-                self.settle_interval(self.config.horizon, cf, df);
-                self.now = self.config.horizon;
-                break;
-            }
-            if self.capture.is_some() && self.may_query_at(t, self.dma_fin == Some(t)) {
-                self.capture_snapshot();
-            }
-            self.now = t;
-
-            // Resource completions first, mirroring the legacy order.
-            let dma_done = self.dma_fin == Some(t);
-            let cpu_done = self.cpu_fin == Some(t);
-            if dma_done || cpu_done {
-                let (cf, df) = (self.cpu_fin, self.dma_fin);
-                self.settle_interval(t, cf, df);
-            }
-            if dma_done {
-                debug_assert!(self.dma.is_some(), "stale DMA wake register");
-                self.complete_dma();
-            }
-            if cpu_done {
-                debug_assert!(self.cpu.is_some(), "stale CPU wake register");
-                self.complete_cpu_segment();
-            }
-            while self.events.peek_time() == Some(t) {
-                let (_, ev) = self.events.pop().expect("peeked");
-                self.handle_timed(ev);
-            }
-            // Instants whose handlers changed nothing the dispatchers
-            // read (see `needs_dispatch`) skip the ready-queue scans:
-            // dispatch would re-derive the previous instant's no-op.
-            if self.needs_dispatch {
-                self.needs_dispatch = false;
-                self.dispatch_dma();
-                self.dispatch_cpu();
-            }
-            self.note_cpu_idle();
-            self.refresh_fins();
-        }
-        self.metrics.cpu_idle_cycles = self
-            .config
-            .horizon
-            .saturating_sub(self.metrics.cpu_busy_cycles);
-    }
-
-    /// Settles the deferred stretch `[settled_to, now]` using the
-    /// cached finish instants. Must be called before any mutation of
-    /// `cpu`/`dma` outside the completion path — dispatching,
-    /// preempting, or cancelling with unsettled progress would corrupt
-    /// remaining-work and stall accounting. The mutation site itself
-    /// marks the resource it writes (`cpu_dirty`/`dma_dirty`). Free
-    /// under the legacy engine (`settled_to == now` always) and
-    /// idempotent within an instant.
-    fn touch(&mut self) {
-        if self.settled_to < self.now {
-            let (cf, df) = (self.cpu_fin, self.dma_fin);
-            self.settle_interval(self.now, cf, df);
-        }
-    }
-
-    /// Re-derives the wake registers (the cached finish instants) after
-    /// a dirty instant. Mutating a resource invalidates at most these
-    /// two registers — there is nothing to search or unpost, which is
-    /// why the wake front lives outside the heap. The registers are
-    /// invalidated *per resource*: a register is exact until its slot
-    /// is written or the bus-contention phase flips (which changes both
-    /// resources' rates), because finish instants are invariant under
-    /// settlement cuts. At the common single-resource instant — a
-    /// control job completing and its successor dispatching while a DNN
-    /// fetch streams — the other register is reused, saving its
-    /// wide-division estimate; the legacy loop recomputes both every
-    /// iteration. Invariant on exit: `cpu_fin`/`dma_fin` equal the
-    /// resources' true finish instants (`None` when idle) — what the
-    /// completion checks in `run_des` rely on.
-    fn refresh_fins(&mut self) {
-        let both = self.both_busy();
-        if both != self.fin_phase_both {
-            self.fin_phase_both = both;
-            self.cpu_dirty = true;
-            self.dma_dirty = true;
-        }
-        if self.cpu_dirty {
-            self.cpu_dirty = false;
-            debug_assert_eq!(self.settled_to, self.now, "fin refresh on unsettled state");
-            self.cpu_fin = self.cpu_finish_estimate();
-        }
-        if self.dma_dirty {
-            self.dma_dirty = false;
-            debug_assert_eq!(self.settled_to, self.now, "fin refresh on unsettled state");
-            self.dma_fin = self.dma_finish_estimate();
-        }
-    }
-
-    /// Whether the instant `t` the engine is about to process can reach
+    /// Whether the instant `t` the loop is about to process can reach
     /// an oracle query: a (jittered) release enters a job
     /// (`ReleaseJitter`/`ExecScale`), or a DMA transfer completes while
     /// the fault environment is active with retry budget left
@@ -1161,17 +933,11 @@ impl Sim<'_> {
 
     /// Pushes a [`SimSnapshot`] of the current instant boundary into
     /// the capture sink. Called at the loop top, before the clock
-    /// advances into the instant — the one point where both engines'
-    /// states are clean (`cpu_dirty`/`dma_dirty` are semantically
-    /// false, the DES wake front is exact) and re-enterable.
+    /// advances into the instant — the one point where the state is
+    /// settled and re-enterable.
     fn capture_snapshot(&mut self) {
         let snap = SimSnapshot {
             now: self.now,
-            settled_to: self.settled_to,
-            cpu_fin: self.cpu_fin,
-            dma_fin: self.dma_fin,
-            fin_phase_both: self.fin_phase_both,
-            needs_dispatch: self.needs_dispatch,
             idle_open: self.idle_open,
             last_cpu_task: self.last_cpu_task,
             cpu: self.cpu,
@@ -1193,19 +959,12 @@ impl Sim<'_> {
     }
 
     /// Re-enters a captured instant boundary: every semantic field is
-    /// restored, the trace is truncated back to the captured prefix,
-    /// and the engine-private dirty flags — deliberately absent from
-    /// the snapshot — are reset to their boundary value (false). The
-    /// event heap clone preserves its FIFO sequence counter, so events
-    /// pushed after the resume tie-break exactly as they did in the
-    /// capturing run.
+    /// restored and the trace is truncated back to the captured prefix.
+    /// The event heap clone preserves its FIFO sequence counter, so
+    /// events pushed after the resume tie-break exactly as they did in
+    /// the capturing run.
     fn restore(&mut self, snap: &SimSnapshot) {
         self.now = snap.now;
-        self.settled_to = snap.settled_to;
-        self.cpu_fin = snap.cpu_fin;
-        self.dma_fin = snap.dma_fin;
-        self.fin_phase_both = snap.fin_phase_both;
-        self.needs_dispatch = snap.needs_dispatch;
         self.idle_open = snap.idle_open;
         self.last_cpu_task = snap.last_cpu_task;
         self.cpu = snap.cpu;
@@ -1221,8 +980,6 @@ impl Sim<'_> {
             .as_ref()
             .expect("resume from unfinalized snapshot")
             .truncated(snap.trace_len);
-        self.cpu_dirty = false;
-        self.dma_dirty = false;
     }
 
     /// Opens a [`TraceKind::CpuIdle`] interval if the CPU is idle and no
@@ -1270,24 +1027,21 @@ impl Sim<'_> {
         Some(self.now + dur)
     }
 
-    /// Settles the interval `[settled_to, to]`: charges busy wall time,
+    /// Settles the interval `[now, to]`: charges busy wall time,
     /// retires (contended) work, and accounts stall cycles for both
     /// resources. `cpu_fin`/`dma_fin` are the resources' finish
-    /// instants — recomputed fresh by the legacy loop, cached under
-    /// DES (finish instants are invariant under settlement cuts, so
-    /// the cache is exact).
+    /// instants as of `now`.
     ///
-    /// The floor-carry identity behind both engines: each settled cycle
-    /// lowers `remaining·den − credit` by exactly `PPM`, so splitting a
+    /// The floor-carry identity: each settled cycle lowers
+    /// `remaining·den − credit` by exactly `PPM`, so splitting a
     /// contended phase at arbitrary cuts retires the same total work
     /// and accrues the same busy/stall sums as settling it whole.
     ///
     /// **Accounting audit** (the former `advance_to` used
     /// `saturating_sub` here): a resource can never finish *strictly
-    /// inside* a settled interval. The legacy loop advances to the
-    /// minimum of the finish estimates, and DES settles at most up to
-    /// the earliest live wake — in both cases `to ≤ fin` whenever the
-    /// resource is busy. In the `fin == to` branch the stall term
+    /// inside* a settled interval. The loop advances to the minimum of
+    /// the finish estimates, so `to ≤ fin` whenever the resource is
+    /// busy. In the `fin == to` branch the stall term
     /// `delta − remaining` is likewise exact: the finish estimate
     /// satisfies `eta ≥ remaining` (den ≥ PPM and credit < den imply
     /// `remaining·den − credit > (remaining − 1)·PPM`), and `delta`
@@ -1296,9 +1050,8 @@ impl Sim<'_> {
     /// any future violation into a loud failure instead of a silent
     /// undercount.
     fn settle_interval(&mut self, to: Cycles, cpu_fin: Option<Cycles>, dma_fin: Option<Cycles>) {
-        debug_assert!(to >= self.settled_to, "settlement must move forward");
-        let delta = to.saturating_sub(self.settled_to);
-        self.settled_to = to;
+        debug_assert!(to >= self.now, "settlement must move forward");
+        let delta = to.saturating_sub(self.now);
         if delta.is_zero() {
             return;
         }
@@ -1496,7 +1249,6 @@ impl Sim<'_> {
             abort_pending: false,
         });
         let next_release = state.next_release;
-        self.needs_dispatch = true;
         self.stats[task_idx].releases += 1;
         self.trace.push(
             self.now,
@@ -1634,7 +1386,6 @@ impl Sim<'_> {
     /// queued and in-flight DMA transfers, records the abort, and — when
     /// the head job changed — restarts staging for the new head.
     fn drop_job(&mut self, task_idx: usize, pos: usize) {
-        self.needs_dispatch = true;
         let job = self.tasks[task_idx].jobs.remove(pos).expect("job to drop");
         self.stats[task_idx].aborted += 1;
         self.metrics.aborted_jobs += 1;
@@ -1653,10 +1404,6 @@ impl Sim<'_> {
             .dma
             .is_some_and(|d| d.task == task_idx && d.job == job.id)
         {
-            // Settle the doomed transfer's wall time (and the CPU's —
-            // its contention state flips here too) before cancelling.
-            self.touch();
-            self.dma_dirty = true;
             self.dma = None;
         }
         if pos == 0 {
@@ -1668,8 +1415,6 @@ impl Sim<'_> {
     }
 
     fn complete_dma(&mut self) {
-        self.needs_dispatch = true;
-        self.dma_dirty = true;
         let d = self.dma.take().expect("dma completion without transfer");
         let head_id = self.tasks[d.task].jobs.front().map(|j| j.id);
         let faulted = head_id == Some(d.job)
@@ -1771,8 +1516,6 @@ impl Sim<'_> {
     }
 
     fn complete_cpu_segment(&mut self) {
-        self.needs_dispatch = true;
-        self.cpu_dirty = true;
         let c = self.cpu.take().expect("cpu completion without segment");
         let task_idx = c.task;
         let (job_id, job_done, abort, response) = {
@@ -1976,10 +1719,8 @@ impl Sim<'_> {
                 if best_key >= current_key {
                     return; // in-flight transfer keeps the channel
                 }
-                // Settle in-flight progress before suspending the
-                // transfer, then re-read it: its remaining work
-                // (including sub-cycle progress) returns to the queue.
-                self.touch();
+                // The suspended transfer's remaining work (including
+                // sub-cycle progress) returns to the queue.
                 let current = self.dma.take().expect("checked in-flight");
                 self.dma_queue.push(DmaRequest {
                     task: current.task,
@@ -1990,13 +1731,8 @@ impl Sim<'_> {
                     deadline: current.deadline,
                     credit: current.credit,
                 });
-            } else {
-                // A fresh dispatch changes the CPU's contention state:
-                // settle its solo progress up to this instant first.
-                self.touch();
             }
             let req = self.dma_queue.remove(i);
-            self.dma_dirty = true;
             self.dma = Some(DmaExec {
                 task: req.task,
                 seg: req.seg,
@@ -2109,11 +1845,6 @@ impl Sim<'_> {
         };
         let Some(task_idx) = chosen else { return };
 
-        // Claiming the CPU changes the in-flight DMA's contention
-        // state: settle both resources up to this instant first.
-        self.touch();
-        self.cpu_dirty = true;
-
         // The CPU leaves idle: close the open idle interval.
         if self.idle_open {
             self.idle_open = false;
@@ -2199,28 +1930,18 @@ impl Sim<'_> {
     // --- state fingerprinting (oracle mode) --------------------------------
 
     /// Canonicalizes and fingerprints the simulator's dynamic state for
-    /// an oracle query. Settles the deferred stretch first (`touch` is
-    /// results-invariant by the floor-carry identity, so forcing it
-    /// here never perturbs the run) so sub-cycle credits and
-    /// `settled_to` are canonical, then hashes exactly the state that
-    /// determines future behavior: the clock, every task's release
-    /// bookkeeping and job queue, both resource slots, the DMA request
-    /// queue in its tie-breaking order, the dispatcher memory
-    /// (`last_cpu_task`), and the pending-event set in drain order.
-    /// Traces, statistics, and metrics are deliberately excluded — they
-    /// record the past. The engine-private flags `needs_dispatch` and
-    /// `idle_open` are excluded too: the legacy loop dispatches every
-    /// cut while the DES loop toggles them as an optimization, so they
-    /// differ across engines at equal semantic states — and both are
-    /// results-invariant (pinned by the legacy/DES differential tests),
-    /// so equal hashes still imply identical future behavior. This is
-    /// what makes the fingerprint sequence engine-identical, which the
-    /// `oracle_state_hashes_are_engine_identical` test pins.
+    /// an oracle query: hashes exactly the state that determines future
+    /// behavior — the clock, every task's release bookkeeping and job
+    /// queue, both resource slots, the DMA request queue in its
+    /// tie-breaking order, the dispatcher memory (`last_cpu_task`), and
+    /// the pending-event set in drain order. Traces, statistics, and
+    /// metrics are deliberately excluded — they record the past — and
+    /// so is `idle_open`, which only decides whether the next dispatch
+    /// emits a [`TraceKind::CpuIdleEnd`], never what is scheduled.
     ///
     /// Only called in oracle mode, at most once per choice point, so
     /// the `O(state)` walk never taxes default runs.
-    fn oracle_state_hash(&mut self) -> StateHash {
-        self.touch();
+    fn oracle_state_hash(&self) -> StateHash {
         let mut h = StableHash::new();
         h.mix(self.now.get());
         for t in &self.tasks {
@@ -2509,7 +2230,6 @@ mod tests {
             seed: 42,
             work_conserving: false,
             fault: FaultPlan::NONE,
-            engine: Engine::Des,
             attribution: false,
             staging_window: 2,
         };
@@ -2531,7 +2251,6 @@ mod tests {
             seed,
             work_conserving: false,
             fault: FaultPlan::NONE,
-            engine: Engine::Des,
             attribution: false,
             staging_window: 2,
         };
@@ -2562,7 +2281,6 @@ mod tests {
                     seed,
                     work_conserving: false,
                     fault: FaultPlan::NONE,
-                    engine: Engine::Des,
                     attribution: false,
                     staging_window: 2,
                 },
@@ -3039,105 +2757,6 @@ mod tests {
         assert!(r.stats[0].misses <= cont.stats[0].misses);
     }
 
-    /// Runs `cfg` under both engines and asserts byte-identical
-    /// results — the equivalence gate in its directed form.
-    fn assert_engines_agree(ts: &TaskSet, p: &PlatformConfig, cfg: &SimConfig) {
-        let legacy = simulate(ts, p, &cfg.clone().with_engine(Engine::Legacy));
-        let des = simulate(ts, p, &cfg.clone().with_engine(Engine::Des));
-        assert_eq!(legacy.trace.events(), des.trace.events());
-        assert_eq!(legacy.stats, des.stats);
-        assert_eq!(legacy.metrics, des.metrics);
-    }
-
-    #[test]
-    fn engines_agree_on_directed_scenarios() {
-        let contended = {
-            let mut p = bare_platform();
-            p.contention = ContentionModel {
-                cpu_inflation_ppm: 500_000,
-                dma_inflation_ppm: 300_000,
-            };
-            p.context_switch_cycles = cy(10);
-            p
-        };
-        for p in [bare_platform(), contended, PlatformConfig::stm32f746_qspi()] {
-            // Mixed staging, preemption, and DMA-channel contention.
-            let ts = TaskSet::from_tasks(vec![
-                overlapped("a", 500, &[(40, 64), (60, 32)]),
-                resident("b", 700, &[100, 80]),
-                overlapped("c", 1300, &[(100, 500), (50, 200)]),
-            ]);
-            assert_engines_agree(&ts, &p, &SimConfig::new(cy(50_000), Policy::FixedPriority));
-            assert_engines_agree(&ts, &p, &SimConfig::new(cy(50_000), Policy::Edf));
-            assert_engines_agree(
-                &ts,
-                &p,
-                &SimConfig::new(cy(50_000), Policy::FixedPriority).work_conserving(),
-            );
-            let mut jittered = SimConfig::new(cy(50_000), Policy::FixedPriority);
-            jittered.exec_scale_min_ppm = 400_000;
-            jittered.seed = 7;
-            assert_engines_agree(&ts, &p, &jittered);
-            assert_engines_agree(
-                &ts,
-                &p,
-                &SimConfig::new(cy(50_000), Policy::FixedPriority).with_fault(fault_plan(3)),
-            );
-        }
-    }
-
-    #[test]
-    fn engines_agree_under_miss_policies() {
-        // Overloaded task sets exercising every deadline-miss policy,
-        // including DMA cancellation under Abort.
-        for policy in [
-            MissPolicy::Continue,
-            MissPolicy::SkipNextRelease,
-            MissPolicy::Abort,
-        ] {
-            let t = SporadicTask::new(
-                "a",
-                cy(100),
-                cy(100),
-                vec![Segment::new(cy(80), 0), Segment::new(cy(80), 0)],
-                StagingMode::Resident,
-            )
-            .expect("valid")
-            .with_miss_policy(policy);
-            let fetcher = SporadicTask::new(
-                "b",
-                cy(1000),
-                cy(300),
-                vec![Segment::new(cy(100), 500)],
-                StagingMode::Overlapped,
-            )
-            .expect("valid")
-            .with_miss_policy(policy);
-            let ts = TaskSet::from_tasks(vec![t, fetcher]);
-            let p = bare_platform();
-            assert_engines_agree(&ts, &p, &SimConfig::new(cy(5000), Policy::FixedPriority));
-            assert_engines_agree(
-                &ts,
-                &p,
-                &SimConfig::new(cy(5000), Policy::FixedPriority).with_fault(fault_plan(11)),
-            );
-        }
-    }
-
-    #[test]
-    fn des_defers_settlement_across_quiet_timer_instants() {
-        // A long uncontended segment (8000 cycles) crossed by many
-        // releases and deadline checks of a lower-priority task gated
-        // behind it. The DES engine processes those timer cuts without
-        // settling the segment's progress; it must still match the
-        // legacy engine cycle for cycle.
-        let long = resident("long", 100_000, &[8000]);
-        let chatty = resident("chatty", 97, &[1]);
-        let ts = TaskSet::from_tasks(vec![long, chatty]);
-        let p = bare_platform();
-        assert_engines_agree(&ts, &p, &SimConfig::new(cy(100_000), Policy::FixedPriority));
-    }
-
     #[test]
     fn deadline_check_precedes_same_instant_release() {
         // D == T: job k's deadline check and job k+1's release share an
@@ -3154,49 +2773,38 @@ mod tests {
         )
         .expect("valid")
         .with_miss_policy(MissPolicy::SkipNextRelease);
-        for engine in [Engine::Legacy, Engine::Des] {
-            let r = simulate(
-                &TaskSet::from_tasks(vec![t.clone()]),
-                &bare_platform(),
-                &SimConfig::new(cy(1000), Policy::FixedPriority).with_engine(engine),
-            );
-            let at_100: Vec<&TraceKind> = r
-                .trace
-                .events()
-                .iter()
-                .filter(|e| e.time == cy(100))
-                .map(|e| &e.kind)
-                .collect();
-            let miss = at_100
-                .iter()
-                .position(|k| matches!(k, TraceKind::DeadlineMissed { .. }))
-                .expect("job 0 misses at t=100");
-            let shed = at_100
-                .iter()
-                .position(|k| matches!(k, TraceKind::ReleaseShed { .. }))
-                .expect("release at t=100 is shed by the same-instant miss");
-            assert!(miss < shed, "deadline check must precede the release");
-        }
+        let r = run(&TaskSet::from_tasks(vec![t]), 1000);
+        let at_100: Vec<&TraceKind> = r
+            .trace
+            .events()
+            .iter()
+            .filter(|e| e.time == cy(100))
+            .map(|e| &e.kind)
+            .collect();
+        let miss = at_100
+            .iter()
+            .position(|k| matches!(k, TraceKind::DeadlineMissed { .. }))
+            .expect("job 0 misses at t=100");
+        let shed = at_100
+            .iter()
+            .position(|k| matches!(k, TraceKind::ReleaseShed { .. }))
+            .expect("release at t=100 is shed by the same-instant miss");
+        assert!(miss < shed, "deadline check must precede the release");
     }
 
     #[test]
-    fn busy_idle_partition_and_stall_bounds_hold_under_both_engines() {
+    fn busy_idle_partition_and_stall_bounds_hold_under_contention() {
         let mut p = bare_platform();
         p.contention = ContentionModel {
             cpu_inflation_ppm: 700_000,
             dma_inflation_ppm: 400_000,
         };
-        let ts = fault_taskset();
-        for engine in [Engine::Legacy, Engine::Des] {
-            let cfg = SimConfig::new(cy(50_000), Policy::FixedPriority)
-                .with_fault(fault_plan(5))
-                .with_engine(engine);
-            let m = simulate(&ts, &p, &cfg).metrics;
-            assert_eq!(m.cpu_busy_cycles + m.cpu_idle_cycles, cy(50_000));
-            assert!(m.cpu_stall_cycles <= m.cpu_busy_cycles);
-            assert!(m.dma_stall_cycles <= m.dma_busy_cycles);
-            assert!(m.dma_busy_cycles <= cy(50_000));
-        }
+        let cfg = SimConfig::new(cy(50_000), Policy::FixedPriority).with_fault(fault_plan(5));
+        let m = simulate(&fault_taskset(), &p, &cfg).metrics;
+        assert_eq!(m.cpu_busy_cycles + m.cpu_idle_cycles, cy(50_000));
+        assert!(m.cpu_stall_cycles <= m.cpu_busy_cycles);
+        assert!(m.dma_stall_cycles <= m.dma_busy_cycles);
+        assert!(m.dma_busy_cycles <= cy(50_000));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::time::Instant;
 use rtmdm_mcusim::{FaultPlan, PlatformConfig};
 use rtmdm_sched::gen::{generate, TasksetParams};
 use rtmdm_sched::script::ScriptOracle;
-use rtmdm_sched::sim::{simulate_with_oracle_forked, Engine, Policy, SimConfig, SimSnapshot};
+use rtmdm_sched::sim::{simulate_with_oracle_forked, Policy, SimConfig, SimSnapshot};
 use rtmdm_sched::TaskSet;
 
 fn workload() -> (TaskSet, PlatformConfig, SimConfig) {
@@ -32,7 +32,6 @@ fn workload() -> (TaskSet, PlatformConfig, SimConfig) {
         seed: 0,
         work_conserving: false,
         fault: FaultPlan::NONE,
-        engine: Engine::Des,
         attribution: true,
         staging_window: 2,
     };

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use rtmdm_mcusim::{Cycles, FaultPlan, PlatformConfig};
 use rtmdm_sched::gen::{generate, TasksetParams};
-use rtmdm_sched::sim::{simulate, Engine, Policy, SimConfig};
+use rtmdm_sched::sim::{simulate, Policy, SimConfig};
 use rtmdm_sched::{MissPolicy, StagingMode, TaskSet};
 
 fn platform() -> PlatformConfig {
@@ -20,7 +20,6 @@ fn config(horizon: Cycles, policy: Policy, wc: bool, scale: u64, seed: u64) -> S
         seed,
         work_conserving: wc,
         fault: FaultPlan::NONE,
-        engine: Engine::Des,
         attribution: false,
         staging_window: 2,
     }
@@ -244,57 +243,14 @@ proptest! {
         }
     }
 
-    /// The equivalence gate: the discrete-event engine is byte-identical
-    /// to the legacy instant-stepping loop — trace, per-task stats, and
-    /// aggregate metrics — over random task sets, execution-time jitter,
-    /// fault environments, and every deadline-miss policy.
+    /// The forensics gate: with attribution anchors on, the per-job
+    /// blame decomposition reconstructed from the trace conserves every
+    /// job's response time exactly (`attribute` rejects a trace whose
+    /// terms do not sum to the response) — across random task sets,
+    /// execution-time jitter, fault environments, and every
+    /// deadline-miss policy.
     #[test]
-    fn des_engine_is_byte_identical_to_legacy(
-        seed in 0u64..100_000,
-        n_tasks in 1usize..6,
-        util_pct in 5u64..90,
-        policy_edf in proptest::bool::ANY,
-        wc in proptest::bool::ANY,
-        scale in 300_000u64..=1_000_000,
-        fault_rate_sel in 0u64..=1_000_000,
-        fault_jitter in 0u64..200,
-        miss_sel in 0u8..3,
-    ) {
-        // Map the low fifth of the range to zero so fault-free runs
-        // (the golden-path regime) stay well represented.
-        let fault_rate_ppm = if fault_rate_sel < 200_000 { 0 } else { fault_rate_sel };
-        let params = TasksetParams::baseline(n_tasks, util_pct * 10_000);
-        let miss_policy = [
-            MissPolicy::Continue,
-            MissPolicy::Abort,
-            MissPolicy::SkipNextRelease,
-        ][miss_sel as usize];
-        let ts = with_miss_policy(&generate(&params, &platform(), seed), miss_policy);
-        let horizon = ts.tasks().iter().map(|t| t.period).max().unwrap() * 3;
-        let policy = if policy_edf { Policy::Edf } else { Policy::FixedPriority };
-        let mut cfg = config(horizon, policy, wc, scale, seed);
-        cfg.fault = FaultPlan {
-            seed,
-            dma_fault_rate_ppm: fault_rate_ppm,
-            max_retries: 3,
-            jitter_max_cycles: fault_jitter,
-        };
-        let legacy = simulate(&ts, &platform(), &cfg.clone().with_engine(Engine::Legacy));
-        let des = simulate(&ts, &platform(), &cfg.with_engine(Engine::Des));
-        prop_assert_eq!(legacy.trace.events(), des.trace.events());
-        prop_assert_eq!(&legacy.stats, &des.stats);
-        prop_assert_eq!(legacy.metrics, des.metrics);
-    }
-
-    /// The forensics equivalence gate: with attribution anchors on, the
-    /// per-job blame decomposition reconstructed from the trace is
-    /// byte-identical between the two engines — across random task
-    /// sets, execution-time jitter, fault environments, and every
-    /// deadline-miss policy. (Stronger than trace equality alone: it
-    /// also pins the obs-side reconstruction to a deterministic
-    /// function of the trace.)
-    #[test]
-    fn blame_decomposition_is_byte_identical_between_engines(
+    fn blame_decomposition_conserves_response_time(
         seed in 0u64..100_000,
         n_tasks in 1usize..6,
         util_pct in 5u64..90,
@@ -320,16 +276,11 @@ proptest! {
             max_retries: 3,
             jitter_max_cycles: 50,
         };
-        let legacy = simulate(&ts, &platform(), &cfg.clone().with_engine(Engine::Legacy));
-        let des = simulate(&ts, &platform(), &cfg.with_engine(Engine::Des));
-        let blame_legacy = rtmdm_obs::attribute(&legacy.trace)
-            .expect("legacy trace conserves response time");
-        let blame_des = rtmdm_obs::attribute(&des.trace)
-            .expect("des trace conserves response time");
-        prop_assert_eq!(blame_legacy, blame_des);
+        let run = simulate(&ts, &platform(), &cfg);
+        rtmdm_obs::attribute(&run.trace).expect("trace conserves response time");
     }
 
-    /// Conservation of wall time under both engines: CPU busy and idle
+    /// Conservation of wall time: CPU busy and idle
     /// partition the horizon exactly, and the stall share of each
     /// resource's busy time never exceeds it — the property that pins
     /// the settlement accounting (stall = wall − work, never
@@ -341,14 +292,12 @@ proptest! {
         util_pct in 5u64..90,
         scale in 300_000u64..=1_000_000,
         fault_rate_sel in 0u64..=1_000_000,
-        engine_des in proptest::bool::ANY,
     ) {
         let fault_rate_ppm = if fault_rate_sel < 200_000 { 0 } else { fault_rate_sel };
         let params = TasksetParams::baseline(n_tasks, util_pct * 10_000);
         let ts = generate(&params, &platform(), seed);
         let horizon = ts.tasks().iter().map(|t| t.period).max().unwrap() * 3;
         let mut cfg = config(horizon, Policy::FixedPriority, false, scale, seed);
-        cfg.engine = if engine_des { Engine::Des } else { Engine::Legacy };
         cfg.fault = FaultPlan {
             seed,
             dma_fault_rate_ppm: fault_rate_ppm,

@@ -3,7 +3,7 @@
 //!
 //! Three layers:
 //!
-//! 1. **Conservation, zero tolerance** — for any task set, engine,
+//! 1. **Conservation, zero tolerance** — for any task set,
 //!    dispatch discipline, execution jitter, fault environment, and
 //!    deadline-miss policy, [`attribute`](rt_mdm::obs::attribute)
 //!    succeeds and every completed job's six terms sum *exactly* to its
@@ -31,7 +31,7 @@ use rt_mdm::sched::analysis::{
 };
 use rt_mdm::sched::assign::dm_order;
 use rt_mdm::sched::gen::{generate, TasksetParams};
-use rt_mdm::sched::sim::{simulate, Engine, Policy, SimConfig};
+use rt_mdm::sched::sim::{simulate, Policy, SimConfig};
 use rt_mdm::sched::{MissPolicy, Segment, SporadicTask, StagingMode, TaskSet};
 
 fn platform() -> PlatformConfig {
@@ -89,7 +89,6 @@ fn check_measured_within_bounds(
         seed,
         work_conserving: mode == SchedulerMode::WorkConserving,
         fault: FaultPlan::NONE,
-        engine: Engine::Des,
         attribution: true,
         staging_window: 2,
     };
@@ -150,7 +149,7 @@ proptest! {
     })]
 
     /// Layer 1: the six-term decomposition conserves response time
-    /// exactly — both engines, both disciplines, jittered execution,
+    /// exactly — both disciplines, jittered execution,
     /// fault injection, every miss policy, overload included.
     #[test]
     fn decomposition_conserves_response_exactly(
@@ -158,7 +157,6 @@ proptest! {
         n_tasks in 1usize..6,
         util_pct in 5u64..95,
         wc in proptest::bool::ANY,
-        engine_des in proptest::bool::ANY,
         scale in 300_000u64..=1_000_000,
         fault_rate_sel in 0u64..=1_000_000,
         miss_sel in 0u8..3,
@@ -183,7 +181,6 @@ proptest! {
                 max_retries: 3,
                 jitter_max_cycles: 50,
             },
-            engine: if engine_des { Engine::Des } else { Engine::Legacy },
             attribution: true,
             staging_window: 2,
         };
@@ -263,7 +260,6 @@ fn preemption_blame_names_the_preempting_task() {
         seed: 0,
         work_conserving: false,
         fault: FaultPlan::NONE,
-        engine: Engine::Des,
         attribution: true,
         staging_window: 2,
     };
@@ -332,7 +328,6 @@ fn fault_refetch_blame_fires_under_injected_faults() {
             max_retries: 5,
             jitter_max_cycles: 0,
         },
-        engine: Engine::Des,
         attribution: true,
         staging_window: 2,
     };

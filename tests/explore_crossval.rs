@@ -1,5 +1,5 @@
 //! Two-way cross-validation of the exhaustive explorer against the
-//! simulator, in both directions and on both engines.
+//! simulator, in both directions.
 //!
 //! 1. **Admitted implies explorer-safe** — every zoo model × platform
 //!    cell whose static report is clean explores to completion with no
@@ -9,15 +9,16 @@
 //! 2. **Explorer-found implies simulator-reproducible** — every
 //!    directed violation scenario (overload miss, widened-window race,
 //!    exhausted retry budget) yields a witness whose script, replayed
-//!    through *both* time-advancement engines, reproduces the violating
-//!    event byte-identically at the explorer-predicted cycle, with the
-//!    blame decomposition naming the same dominant cause. A property
-//!    test extends direction 2 over random generated task sets.
+//!    through the simulator, reproduces the violating event at the
+//!    explorer-predicted cycle, with the blame decomposition naming the
+//!    same dominant cause. A property test extends direction 2 over
+//!    random generated task sets, and a witness file written before the
+//!    simulator's `engine` setting was retired still loads and replays.
 //!
 //! 3. **Strategy and thread-count equivalence** — the fork-based
 //!    incremental explorer and the replay-from-zero reference produce
 //!    identical verdicts, counters, and witness JSON over random task
-//!    sets × jitter × fault environments × both engines, and the
+//!    sets × jitter × fault environments, and the
 //!    `check --explore` pipeline's output is byte-identical at any
 //!    speculative worker count.
 
@@ -31,7 +32,7 @@ use rt_mdm::dnn::zoo;
 use rt_mdm::mcusim::{ContentionModel, Cycles, FaultPlan, PlatformConfig, TraceKind};
 use rt_mdm::obs::attribute;
 use rt_mdm::sched::gen::{generate, TasksetParams};
-use rt_mdm::sched::sim::{Engine, Policy, SimConfig, SimResult};
+use rt_mdm::sched::sim::{Policy, SimConfig, SimResult};
 use rt_mdm::sched::{Segment, SporadicTask, StagingMode, TaskSet};
 
 fn cy(n: u64) -> Cycles {
@@ -58,33 +59,28 @@ fn base_config(horizon: u64) -> SimConfig {
         seed: 0,
         work_conserving: false,
         fault: FaultPlan::NONE,
-        engine: Engine::Des,
         attribution: true,
         staging_window: 2,
     }
 }
 
-/// Replays `w` on both engines and asserts the runs are byte-identical
-/// to each other and reproduce the witnessed violation at `w.at`.
-/// Returns the (shared) replay result.
-fn assert_witness_replays_on_both_engines(w: &Witness) -> SimResult {
-    let mut legacy_cfg = w.config.clone();
-    legacy_cfg.engine = Engine::Legacy;
-    let mut des_cfg = w.config.clone();
-    des_cfg.engine = Engine::Des;
-    let legacy = w.replay_on(&legacy_cfg);
-    let des = w.replay_on(&des_cfg);
+/// Replays `w` twice, asserts the runs are byte-identical and
+/// reproduce the witnessed violation at `w.at`, and returns the replay
+/// result.
+fn assert_witness_replays(w: &Witness) -> SimResult {
+    let run = w.replay();
+    let again = w.replay();
     assert_eq!(
-        legacy.trace.events(),
-        des.trace.events(),
-        "witness replay diverges between engines"
+        run.trace.events(),
+        again.trace.events(),
+        "witness replay is not deterministic"
     );
-    assert_eq!(legacy.stats, des.stats);
-    assert_eq!(legacy.races, des.races);
+    assert_eq!(run.stats, again.stats);
+    assert_eq!(run.races, again.races);
 
     match w.rule.as_str() {
         "RTM051" => {
-            let race = des
+            let race = run
                 .races
                 .iter()
                 .find(|r| r.at.get() == w.at)
@@ -93,7 +89,7 @@ fn assert_witness_replays_on_both_engines(w: &Witness) -> SimResult {
             assert_eq!(race.job, w.job);
         }
         _ => {
-            let miss = des
+            let miss = run
                 .trace
                 .events()
                 .iter()
@@ -116,7 +112,7 @@ fn assert_witness_replays_on_both_engines(w: &Witness) -> SimResult {
     // Blame agreement: attributing the replayed trace must name the
     // same dominant interference source for the victim job that the
     // explorer recorded in the witness.
-    let replay_blame = attribute(&des.trace)
+    let replay_blame = attribute(&run.trace)
         .expect("replayed trace attributes")
         .jobs
         .iter()
@@ -127,7 +123,7 @@ fn assert_witness_replays_on_both_engines(w: &Witness) -> SimResult {
         replay_blame, w.dominant_blame,
         "replay blame decomposition disagrees with the witness"
     );
-    des
+    run
 }
 
 // ---------------------------------------------------------------------
@@ -201,7 +197,7 @@ fn admitted_reference_pair_is_explorer_safe_under_exec_endpoints() {
 }
 
 // ---------------------------------------------------------------------
-// Direction 2: explorer findings replay on both engines.
+// Direction 2: explorer findings replay in the simulator.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -218,7 +214,7 @@ fn overload_miss_witness_replays_on_both_engines() {
         .any(|f| f.rule == Rule::Rtm050));
     let w = outcome.witness.expect("overload yields a witness");
     assert_eq!(w.rule, "RTM050");
-    assert_witness_replays_on_both_engines(&w);
+    assert_witness_replays(&w);
 }
 
 #[test]
@@ -246,7 +242,7 @@ fn jitter_miss_witness_replays_on_both_engines() {
     );
     let w = out.witness.expect("jitter miss yields a witness");
     assert_eq!(w.rule, "RTM050");
-    assert_witness_replays_on_both_engines(&w);
+    assert_witness_replays(&w);
 }
 
 #[test]
@@ -264,7 +260,7 @@ fn widened_window_race_witness_replays_on_both_engines() {
     let out = explore(&ts, &bare_platform(), &cfg, &ExploreLimits::default());
     let w = out.witness.expect("widened window yields a witness");
     assert_eq!(w.rule, "RTM051");
-    assert_witness_replays_on_both_engines(&w);
+    assert_witness_replays(&w);
 }
 
 #[test]
@@ -287,7 +283,7 @@ fn retry_budget_witness_replays_on_both_engines() {
     let out = explore(&ts, &bare_platform(), &cfg, &ExploreLimits::default());
     let w = out.witness.expect("fault paths yield a witness");
     assert_eq!(w.rule, "RTM052");
-    assert_witness_replays_on_both_engines(&w);
+    assert_witness_replays(&w);
 }
 
 #[test]
@@ -310,9 +306,49 @@ fn witness_json_round_trips_and_still_replays() {
     assert_eq!(a.races, b.races);
 }
 
+/// A witness file written while `SimConfig` still had an `engine` field:
+/// the jitter-miss scenario above, whose script delays job 0 by 500
+/// cycles.
+const ENGINE_KEYED_WITNESS: &str = concat!(
+    r#"{"schema":"rtmdm-witness/1","rule":"RTM050","task":0,"job":0,"at":1000,"#,
+    r#""dominant_blame":"dispatch-wait","#,
+    r#""task_set":{"tasks":[{"name":"t","period":2000,"deadline":1000,"#,
+    r#""segments":[{"compute":600,"fetch_bytes":0}],"mode":"Resident","#,
+    r#""miss_policy":"Continue"}]},"#,
+    r#""platform":{"name":"stm32f746-qspi","cpu":200000000,"sram_bytes":327680,"#,
+    r#""flash_bytes":1048576,"ext_mem":{"kind":"QspiFlash","setup_cycles":0,"#,
+    r#""cycles_per_byte_num":1,"cycles_per_byte_den":1},"#,
+    r#""contention":{"cpu_inflation_ppm":0,"dma_inflation_ppm":0},"#,
+    r#""dma_channels":1,"context_switch_cycles":0},"#,
+    r#""config":{"horizon":8000,"policy":"FixedPriority","exec_scale_min_ppm":1000000,"#,
+    r#""seed":0,"work_conserving":false,"fault":{"seed":0,"dma_fault_rate_ppm":0,"#,
+    r#""max_retries":3,"jitter_max_cycles":0},"engine":"Des","attribution":true,"#,
+    r#""staging_window":2},"#,
+    r#""script":[{"point":{"ReleaseJitter":{"task":0,"job":0}},"value":{"ReleaseJitter":500}},"#,
+    r#"{"point":{"ReleaseJitter":{"task":0,"job":1}},"value":{"ReleaseJitter":0}},"#,
+    r#"{"point":{"ReleaseJitter":{"task":0,"job":2}},"value":{"ReleaseJitter":0}},"#,
+    r#"{"point":{"ReleaseJitter":{"task":0,"job":3}},"value":{"ReleaseJitter":0}}]}"#,
+);
+
+#[test]
+fn witness_with_retired_engine_key_still_loads_and_replays() {
+    let w: Witness = serde_json::from_str(ENGINE_KEYED_WITNESS).expect("old witness parses");
+    assert_eq!(w.schema, "rtmdm-witness/1");
+    assert_eq!(
+        (w.rule.as_str(), w.task, w.job, w.at),
+        ("RTM050", 0, 0, 1_000)
+    );
+    // Nothing but the retired key is lost on the way through.
+    assert_eq!(
+        serde_json::to_string(&w).expect("witness serializes"),
+        ENGINE_KEYED_WITNESS.replace(r#""engine":"Des","#, "")
+    );
+    assert_witness_replays(&w);
+}
+
 // ---------------------------------------------------------------------
 // Property: any witness the explorer finds on a random generated set
-// replays byte-identically on both engines.
+// replays byte-identically.
 // ---------------------------------------------------------------------
 
 proptest! {
@@ -353,7 +389,7 @@ proptest! {
                 w.rule.as_str(),
                 "RTM050" | "RTM051" | "RTM052"
             ));
-            assert_witness_replays_on_both_engines(w);
+            assert_witness_replays(w);
         } else {
             // No witness: either proven safe or honestly inconclusive.
             prop_assert!(
@@ -368,7 +404,7 @@ proptest! {
     /// The differential contract behind `--strategy`: fork-based
     /// incremental exploration and replay-from-zero produce identical
     /// verdicts, counters, and witness JSON over random task sets ×
-    /// jitter × fault environments × both engines.
+    /// jitter × fault environments.
     #[test]
     fn fork_and_replay_strategies_are_outcome_identical(
         n in 1usize..4,
@@ -377,7 +413,6 @@ proptest! {
         wide_exec in proptest::bool::ANY,
         with_jitter in proptest::bool::ANY,
         with_faults in proptest::bool::ANY,
-        legacy_engine in proptest::bool::ANY,
         deep_first in proptest::bool::ANY,
     ) {
         let platform = PlatformConfig::stm32f746_qspi();
@@ -387,9 +422,6 @@ proptest! {
         let horizon = ts.tasks().iter().map(|t| t.period).max().unwrap() * 2;
         let mut cfg = base_config(horizon.get());
         cfg.exec_scale_min_ppm = if wide_exec { 500_000 } else { 1_000_000 };
-        if legacy_engine {
-            cfg.engine = Engine::Legacy;
-        }
         if with_faults {
             cfg.fault = FaultPlan {
                 seed: 0,

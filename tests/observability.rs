@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use rt_mdm::mcusim::{Cycles, FaultPlan, PlatformConfig, TraceKind};
 use rt_mdm::obs::{chrome_trace, chrome_trace_json, ChromeTrace, Timeline};
 use rt_mdm::sched::gen::{generate, TasksetParams};
-use rt_mdm::sched::sim::{simulate, Engine, Policy, SimConfig, SimResult};
+use rt_mdm::sched::sim::{simulate, Policy, SimConfig, SimResult};
 use rt_mdm::sched::{Segment, SporadicTask, StagingMode, TaskSet};
 
 fn cy(n: u64) -> Cycles {
@@ -25,10 +25,6 @@ fn cy(n: u64) -> Cycles {
 /// overlapped DNN and a resident control loop — over a 4000-cycle
 /// horizon at WCET, seed 0. Everything here is deterministic.
 fn golden_scenario() -> (SimResult, Vec<String>) {
-    golden_scenario_with(Engine::Des)
-}
-
-fn golden_scenario_with(engine: Engine) -> (SimResult, Vec<String>) {
     let dnn = SporadicTask::new(
         "dnn",
         cy(2000),
@@ -53,7 +49,6 @@ fn golden_scenario_with(engine: Engine) -> (SimResult, Vec<String>) {
         seed: 0,
         work_conserving: false,
         fault: FaultPlan::NONE,
-        engine,
         attribution: false,
         staging_window: 2,
     };
@@ -73,16 +68,6 @@ fn chrome_export_matches_golden_file() {
          change is intentional, regenerate with \
          `cargo test --test observability -- --ignored bless_golden`"
     );
-}
-
-/// The golden file is engine-independent: the legacy loop reproduces
-/// the exact bytes the discrete-event default is pinned to.
-#[test]
-fn chrome_export_matches_golden_file_under_legacy_engine() {
-    let (result, names) = golden_scenario_with(Engine::Legacy);
-    let json = chrome_trace_json(&result.trace, &names);
-    let golden = include_str!("golden_chrome.json");
-    assert_eq!(json, golden.trim_end());
 }
 
 #[test]
@@ -178,7 +163,6 @@ proptest! {
             seed,
             work_conserving: false,
             fault: FaultPlan::NONE,
-            engine: Engine::Des,
             attribution: false,
             staging_window: 2,
         };
@@ -207,7 +191,6 @@ proptest! {
             seed,
             work_conserving: false,
             fault: FaultPlan::NONE,
-            engine: Engine::Des,
             attribution: false,
             staging_window: 2,
         };
@@ -236,7 +219,6 @@ proptest! {
             seed,
             work_conserving: false,
             fault: FaultPlan::NONE,
-            engine: Engine::Des,
             attribution: false,
             staging_window: 2,
         };

@@ -13,7 +13,8 @@
 //! produces. A differential property pins that direct computation:
 //! a fresh service's verdict, occupancy, RTA bounds and headroom equal
 //! a plain `RtMdm::admit` of the same specs. Hostile inputs (2^63 and
-//! 2^64 − 1 byte fetch buffers, a 200 000-deep JSON array) must yield
+//! 2^64 − 1 byte fetch buffers, other 64-bit extremes and a zero
+//! period, a 200 000-deep JSON array) must yield one record each —
 //! rejects and error records, never a panic or an unsound admit.
 
 use proptest::prelude::*;
@@ -378,6 +379,45 @@ fn hostile_buffer_sizes_reject_instead_of_panicking_or_admitting() {
         let err = fw.admit().expect_err("must not admit");
         assert!(matches!(err, AdmitError::Memory(_)), "{err}");
     }
+}
+
+/// One-task lines with a field at an integer extreme are each answered
+/// with exactly one `ok:true` record — never a panic — and an
+/// activation budget of 2^64 − 1 bytes is a memory reject.
+#[test]
+fn extreme_integer_fields_answer_one_record_each() {
+    let max = u64::MAX;
+    let line = |options: &str, task: &str| {
+        format!(
+            r#"{{"id":"x","platform":"stm32f746-qspi","options":{{{options}}},"tasks":[{{"name":"kws","model":"ds-cnn",{task}}}]}}"#
+        )
+    };
+    let lines = vec![
+        line("", &format!(r#""period_us":{max}"#)),
+        line(
+            &format!(r#""segment_compute_cap_us":{max}"#),
+            r#""period_us":100000"#,
+        ),
+        line(
+            "",
+            &format!(r#""period_us":100000,"activation_budget_bytes":{max}"#),
+        ),
+        line("", &format!(r#""period_us":100000,"deadline_us":{max}"#)),
+        line("", r#""period_us":0"#),
+    ];
+    let out = Service::new().answer_batch(lines.clone());
+    assert_eq!(out.len(), lines.len());
+    for (line, answer) in lines.iter().zip(&out) {
+        assert!(!answer.contains('\n'), "{answer}");
+        assert_eq!(
+            answer.matches(r#""ok":true"#).count(),
+            1,
+            "{line}: {answer}"
+        );
+    }
+    assert!(out[2].contains(r#""verdict":"reject""#), "{}", out[2]);
+    assert!(out[2].contains("memory planning"), "{}", out[2]);
+    assert!(out[2].contains("RTM004"), "{}", out[2]);
 }
 
 /// A 200 000-deep array is an error record, not a stack overflow, and

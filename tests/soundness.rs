@@ -15,7 +15,7 @@ use rt_mdm::mcusim::{Cycles, FaultPlan, PlatformConfig};
 use rt_mdm::sched::analysis::{rta_limited_preemption_with, SchedulerMode};
 use rt_mdm::sched::assign::dm_order;
 use rt_mdm::sched::gen::{generate, TasksetParams};
-use rt_mdm::sched::sim::{simulate, Engine, Policy, SimConfig};
+use rt_mdm::sched::sim::{simulate, Policy, SimConfig};
 use rt_mdm::sched::{StagingMode, TaskSet};
 
 fn platform() -> PlatformConfig {
@@ -49,7 +49,6 @@ fn check_soundness(
         seed,
         work_conserving: mode == SchedulerMode::WorkConserving,
         fault: FaultPlan::NONE,
-        engine: Engine::Des,
         attribution: false,
         staging_window: 2,
     };
@@ -171,7 +170,6 @@ fn directed_soundness_sweep() {
                 seed,
                 work_conserving: mode == SchedulerMode::WorkConserving,
                 fault: FaultPlan::NONE,
-                engine: Engine::Des,
                 attribution: false,
                 staging_window: 2,
             };
