@@ -19,6 +19,20 @@ echo "== cargo doc (obs + check + sched + core + par) =="
 RUSTDOCFLAGS="-D warnings" cargo doc -q -p rtmdm-obs -p rtmdm-check -p rtmdm-sched \
   -p rtmdm-core -p rtmdm-par --no-deps
 
+echo "== pinned results tables =="
+# Every results/*.txt is byte-pinned: its exp_* binary must regenerate
+# it exactly. Each binary writes only its own table, so the copy set
+# aside first is the reference.
+pinned="$(mktemp -d)"
+cp results/*.txt "$pinned"/
+for table in "$pinned"/*.txt; do
+  id="$(basename "$table" .txt)"
+  "./target/release/exp_$id" > /dev/null
+  cmp "$table" "results/$id.txt" || {
+    echo "pinned tables: results/$id.txt drifted" >&2; exit 1; }
+done
+rm -rf "$pinned"
+
 echo "== rtmdm trace smoke =="
 trace_out="$(mktemp)"
 ./target/release/rtmdm trace --platform stm32f746-qspi --task kws=ds-cnn@100 \

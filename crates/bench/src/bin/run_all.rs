@@ -9,7 +9,8 @@
 //! [`rtmdm_bench::telemetry`]).
 use std::time::Instant;
 
-use rtmdm_bench::{emit, experiments as e, par, results_dir, telemetry};
+use rtmdm_bench::{emit, experiments as e, results_dir, telemetry};
+use rtmdm_par::num_threads;
 
 type Experiment = (&'static str, fn() -> String);
 
@@ -37,7 +38,7 @@ fn main() {
     let registry = rtmdm_obs::metrics::global();
     registry.enable(true);
     registry.reset();
-    println!("run_all: {} workers", par::num_threads());
+    println!("run_all: {} workers", num_threads());
     let total = Instant::now();
     let mut records = Vec::with_capacity(experiments.len());
     let mut before = registry.snapshot();
@@ -56,30 +57,7 @@ fn main() {
         before = after;
     }
     let final_snapshot = registry.snapshot();
-    // The fleet probe already ran inside the f15_fleet experiment;
-    // this reuses its cached record instead of re-timing the fleet.
-    let fleet = e::fleet_comparison();
-    println!(
-        "-- fleet probe: warm {:.0} q/s vs cold {:.0} q/s \
-         ({:.1}x, identical: {})",
-        fleet.warm_queries_per_second,
-        fleet.cold_queries_per_second,
-        fleet.speedup,
-        fleet.identical
-    );
-    // Likewise cached from the f14_explore_scale experiment.
-    let explore = e::explore_comparison();
-    println!(
-        "-- explore probe: fork {:.0} states/s vs replay {:.0} states/s \
-         at {} tasks ({:.1}x, identical: {})",
-        explore.fork_states_per_second,
-        explore.replay_states_per_second,
-        explore.tasks,
-        explore.speedup,
-        explore.identical
-    );
-    let doc =
-        telemetry::RunMetrics::new(par::num_threads(), records, final_snapshot, fleet, explore);
+    let doc = telemetry::RunMetrics::new(num_threads(), records, final_snapshot);
     let json = serde_json::to_string(&doc).expect("metrics serialize");
     let metrics_path = results_dir().join("metrics.json");
     if let Err(err) = std::fs::write(&metrics_path, &json) {

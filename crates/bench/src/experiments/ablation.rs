@@ -6,7 +6,7 @@
 use rtmdm_core::{report, FrameworkOptions, RtMdm, Strategy, TaskSpec};
 use rtmdm_dnn::zoo;
 
-use crate::par::par_map_seeded;
+use rtmdm_par::par_map_seeded;
 
 use super::{eval_platform, ms};
 

@@ -10,9 +10,8 @@
 //!
 //! Everything in the table is deterministic (the explorer's DFS order
 //! is fixed), so the table is byte-pinned like every other
-//! `results/*.txt`. Wall time is nondeterministic by nature and lands
-//! in `BENCH_run_all.json` via the harness telemetry, never in a
-//! byte-pinned table.
+//! `results/*.txt`. Explorer wall time is measured by the `perfbench`
+//! benchmark's `explore-scale` workload, never here.
 //!
 //! The scale companion (`results/f14_explore_scale.txt`) extends the
 //! same workload family to 6–8 tasks and runs every cell under **both**
@@ -26,14 +25,9 @@
 //! search frontier sits far into the horizon and the strategies
 //! actually diverge in cost, since a forked branch resumes at its
 //! divergence while a replayed one re-simulates the whole prefix. The
-//! deterministic columns — counters, verdict, the fork-equals-replay
-//! byte-identity gate, and the largest snapshot footprint on the
-//! default path — are byte-pinned; the wall-clock states/second rates
-//! and the resulting speedup go to `BENCH_run_all.json` via
-//! [`ExploreComparison`].
-
-use std::sync::OnceLock;
-use std::time::Instant;
+//! columns — counters, verdict, the fork-equals-replay byte-identity
+//! gate, and the largest snapshot footprint on the default path — are
+//! all deterministic and byte-pinned.
 
 use rtmdm_check::{explore, ExploreLimits, ExploreOrder, ExploreOutcome, ExploreStrategy};
 use rtmdm_core::report;
@@ -42,8 +36,6 @@ use rtmdm_sched::gen::{generate, TasksetParams};
 use rtmdm_sched::script::{Choice, ChoicePoint, SimOracle, StateHash};
 use rtmdm_sched::sim::{simulate_with_oracle_forked, Policy, SimConfig, SimSnapshot};
 use rtmdm_sched::TaskSet;
-
-use crate::telemetry::ExploreComparison;
 
 /// State budget per cell; exceeding it is the `inconclusive` verdict.
 const MAX_STATES: usize = 2_000;
@@ -140,13 +132,6 @@ pub fn f14_explore() -> String {
     )
 }
 
-/// The deterministic scale table plus the wall-clock comparison, built
-/// once and shared by [`f14_explore_scale`] and [`explore_comparison`].
-struct ExploreProbe {
-    table: String,
-    comparison: ExploreComparison,
-}
-
 /// One comparable blob per outcome: findings, witness JSON, counters.
 /// Byte-equality of these blobs is the table's `identical` gate.
 fn fingerprint(out: &ExploreOutcome) -> String {
@@ -181,11 +166,10 @@ fn max_snapshot_bytes(ts: &TaskSet, platform: &PlatformConfig, config: &SimConfi
     caps.iter().map(SimSnapshot::size_hint).max().unwrap_or(0)
 }
 
-fn run_probe() -> ExploreProbe {
+/// F14 scale companion — fork versus replay at 6–8 tasks.
+pub fn f14_explore_scale() -> String {
     let platform = super::eval_platform();
     let mut rows = Vec::new();
-    let mut identical = true;
-    let mut timed = None;
     for n in 6..=8usize {
         let (ts, config) = cell(&platform, n, SCALE_UTIL_PPM, SCALE_HORIZON_PERIODS);
         let limits = |strategy| ExploreLimits {
@@ -195,14 +179,9 @@ fn run_probe() -> ExploreProbe {
             threads: 1,
             order: ExploreOrder::DeepFirst,
         };
-        let started = Instant::now();
         let fork = explore(&ts, &platform, &config, &limits(ExploreStrategy::Fork));
-        let fork_secs = started.elapsed().as_secs_f64();
-        let started = Instant::now();
         let replay = explore(&ts, &platform, &config, &limits(ExploreStrategy::Replay));
-        let replay_secs = started.elapsed().as_secs_f64();
         let same = fingerprint(&fork) == fingerprint(&replay);
-        identical &= same;
         rows.push(vec![
             n.to_string(),
             fork.stats.states.to_string(),
@@ -212,67 +191,17 @@ fn run_probe() -> ExploreProbe {
             if same { "yes" } else { "no" }.to_owned(),
             max_snapshot_bytes(&ts, &platform, &config).to_string(),
         ]);
-        // The comparison reports the deepest cell — the one the ≥6-task
-        // speedup acceptance gate reads.
-        timed = Some((
-            n,
-            fork.stats.states,
-            fork.stats.transitions,
-            fork_secs,
-            replay_secs,
-        ));
     }
-    let (tasks, states, transitions, fork_secs, replay_secs) = timed.expect("scale rows");
-    let rate = |count: u64, secs: f64| {
-        if secs > 0.0 {
-            count as f64 / secs
-        } else {
-            0.0
-        }
-    };
-    let comparison = ExploreComparison {
-        tasks: tasks as u64,
-        states: states as u64,
-        transitions,
-        fork_states_per_second: rate(states as u64, fork_secs),
-        fork_transitions_per_second: rate(transitions, fork_secs),
-        replay_states_per_second: rate(states as u64, replay_secs),
-        replay_transitions_per_second: rate(transitions, replay_secs),
-        speedup: if fork_secs > 0.0 {
-            replay_secs / fork_secs
-        } else {
-            0.0
-        },
-        identical,
-    };
-    ExploreProbe {
-        table: report::table(
-            &[
-                "tasks",
-                "states",
-                "runs",
-                "transitions",
-                "verdict",
-                "identical",
-                "snapshot_bytes",
-            ],
-            &rows,
-        ),
-        comparison,
-    }
-}
-
-fn probe() -> &'static ExploreProbe {
-    static PROBE: OnceLock<ExploreProbe> = OnceLock::new();
-    PROBE.get_or_init(run_probe)
-}
-
-/// F14 scale companion — fork versus replay at 6–8 tasks.
-pub fn f14_explore_scale() -> String {
-    probe().table.clone()
-}
-
-/// The wall-clock fork-versus-replay record for `BENCH_run_all.json`.
-pub fn explore_comparison() -> ExploreComparison {
-    probe().comparison.clone()
+    report::table(
+        &[
+            "tasks",
+            "states",
+            "runs",
+            "transitions",
+            "verdict",
+            "identical",
+            "snapshot_bytes",
+        ],
+        &rows,
+    )
 }

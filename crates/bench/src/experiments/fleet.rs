@@ -1,27 +1,21 @@
-//! Figure F15 — admission-service throughput over a synthetic fleet.
+//! Figure F15 — the admission service over a synthetic fleet.
 //!
 //! A fleet deployment asks the admission service the same questions
 //! over and over: thousands of devices share a handful of distinct
 //! (platform, task mix, options) configurations, differing only in
-//! their request ids. This experiment builds a ≥100 k-query fleet over
-//! a small distinct-configuration pool and measures queries/second
-//! **cold** (a fresh [`Service`] per query — every answer computed from
-//! scratch) against **warm** (one shared service answering the whole
-//! fleet through its content-addressed answer cache).
+//! their request ids. This experiment answers a 100 k-query fleet over
+//! a small distinct-configuration pool through one shared [`Service`],
+//! so after the first pool cycle every query is an answer-cache hit.
 //!
-//! The deterministic per-configuration table (verdict, occupancy,
-//! headroom, and the warm-equals-cold byte-identity gate) lands in
-//! `results/f15_fleet.txt`; the wall-clock rates are nondeterministic
-//! and go to `BENCH_run_all.json` via [`FleetComparison`], never into
-//! the byte-pinned table.
-
-use std::sync::OnceLock;
-use std::time::Instant;
+//! The table (`results/f15_fleet.txt`) lists each configuration's
+//! verdict, occupancy and headroom, plus the warm-equals-cold gate:
+//! the cached answers of the last pool cycle must be byte-identical to
+//! the answers a fresh, cache-free service gives the same request
+//! lines. Service throughput is measured by the `perfbench` benchmark,
+//! never here.
 
 use rtmdm_core::{report, Service};
 use serde::Content;
-
-use crate::telemetry::FleetComparison;
 
 /// Total queries in the synthetic fleet.
 const FLEET_SIZE: usize = 100_000;
@@ -170,77 +164,39 @@ fn field(answer: &str, key: &str) -> String {
     }
 }
 
-/// Everything the probe produces: the deterministic table and the
-/// wall-clock comparison. Computed once; `f15_fleet` and
-/// `fleet_comparison` share the result so `run_all` times the fleet
-/// exactly once.
-struct FleetProbe {
-    table: String,
-    comparison: FleetComparison,
-}
-
-fn run_probe() -> FleetProbe {
+/// F15 — the fleet table (`results/f15_fleet.txt`).
+pub fn f15_fleet() -> String {
     let configs = pool();
+    assert_eq!(
+        FLEET_SIZE % configs.len(),
+        0,
+        "the last pool cycle must start at the first configuration"
+    );
     let lines: Vec<String> = (0..FLEET_SIZE).map(|i| request_line(&configs, i)).collect();
+    let last_cycle = FLEET_SIZE - configs.len();
 
-    // Cold: a fresh service per query, so nothing is ever reused. One
-    // query per distinct configuration is enough of a sample — cold
-    // cost is per-configuration, not per-device.
-    let cold_sample = configs.len();
-    let cold_start = Instant::now();
-    let cold: Vec<String> = lines[..cold_sample]
+    // Cold: a fresh service per query, so nothing is ever reused.
+    let cold: Vec<String> = lines[last_cycle..]
         .iter()
         .map(|line| Service::new().answer_line(line))
         .collect();
-    let cold_wall = cold_start.elapsed().as_secs_f64();
 
     // Warm: one shared service answers the whole fleet as a sharded
-    // batch; after the first pool cycle every query is a full-response
-    // cache hit.
-    let service = Service::new();
-    let warm_start = Instant::now();
-    let warm = service.answer_batch(lines);
-    let warm_wall = warm_start.elapsed().as_secs_f64();
-
-    // The correctness gate: warm answers must be byte-identical to the
-    // cold, cache-free answers of the same request lines.
-    let identical = cold == warm[..cold_sample];
-
-    let qps = |queries: usize, wall: f64| {
-        if wall > 1e-9 {
-            queries as f64 / wall
-        } else {
-            0.0
-        }
-    };
-    let cold_qps = qps(cold_sample, cold_wall);
-    let warm_qps = qps(FLEET_SIZE, warm_wall);
-    let comparison = FleetComparison {
-        fleet_size: FLEET_SIZE as u64,
-        distinct_configs: configs.len() as u64,
-        cold_sample: cold_sample as u64,
-        cold_queries_per_second: cold_qps,
-        warm_queries_per_second: warm_qps,
-        speedup: if cold_qps > 0.0 {
-            warm_qps / cold_qps
-        } else {
-            0.0
-        },
-        identical,
-    };
+    // batch; by the last pool cycle every query is a cache hit.
+    let warm = Service::new().answer_batch(lines);
 
     let rows: Vec<Vec<String>> = configs
         .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            let warm_answer = &warm[i];
+        .zip(&cold)
+        .zip(&warm[last_cycle..])
+        .map(|((c, fresh), hit)| {
             vec![
                 c.label.to_owned(),
                 c.platform.to_owned(),
-                field(warm_answer, "verdict"),
-                field(warm_answer, "occupancy_ppm"),
-                field(warm_answer, "headroom_ppm"),
-                if cold[i] == *warm_answer { "yes" } else { "NO" }.to_owned(),
+                field(hit, "verdict"),
+                field(hit, "occupancy_ppm"),
+                field(hit, "headroom_ppm"),
+                if hit == fresh { "yes" } else { "NO" }.to_owned(),
             ]
         })
         .collect();
@@ -261,21 +217,5 @@ fn run_probe() -> FleetProbe {
         FLEET_SIZE,
         configs.len()
     ));
-    FleetProbe { table, comparison }
-}
-
-fn probe() -> &'static FleetProbe {
-    static PROBE: OnceLock<FleetProbe> = OnceLock::new();
-    PROBE.get_or_init(run_probe)
-}
-
-/// F15 — the deterministic fleet table (`results/f15_fleet.txt`).
-pub fn f15_fleet() -> String {
-    probe().table.clone()
-}
-
-/// The wall-clock cold-versus-warm throughput record for
-/// `BENCH_run_all.json`. Shares one probe run with [`f15_fleet`].
-pub fn fleet_comparison() -> FleetComparison {
-    probe().comparison.clone()
+    table
 }

@@ -10,7 +10,7 @@ use rtmdm_dnn::{zoo, CostModel};
 use rtmdm_mcusim::{Cycles, ExtMemConfig, ExtMemKind};
 use rtmdm_xmem::{pipeline, segment_model, ExecutionStrategy};
 
-use crate::par::par_map_seeded;
+use rtmdm_par::par_map_seeded;
 
 use super::{eval_platform, ms};
 

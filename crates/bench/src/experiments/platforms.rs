@@ -7,7 +7,7 @@ use rtmdm_core::{report, RtMdm, TaskSpec};
 use rtmdm_dnn::zoo;
 use rtmdm_mcusim::PlatformConfig;
 
-use crate::par::par_map_seeded;
+use rtmdm_par::par_map_seeded;
 
 use super::ms;
 

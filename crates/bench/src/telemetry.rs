@@ -31,12 +31,14 @@ use rtmdm_xmem::{pipeline, segment_model, ExecutionStrategy};
 /// v2: added per-task response-time percentiles (`probe.response` in
 /// `metrics.json`, `response` in `BENCH_run_all.json`).
 /// v3: added the admission-service fleet throughput record (`fleet`
-/// in both documents; see [`FleetComparison`]).
+/// in both documents).
 /// v4: added the explorer fork-versus-replay throughput record
-/// (`explore` in both documents; see [`ExploreComparison`]).
+/// (`explore` in both documents).
 /// v5: dropped the simulator engine-comparison record (`engine` in
 /// both documents); the simulator has a single event loop.
-pub const SCHEMA_VERSION: u64 = 5;
+/// v6: dropped the single-shot `fleet` and `explore` throughput
+/// records; the `perfbench` benchmark measures both with spread.
+pub const SCHEMA_VERSION: u64 = 6;
 
 /// Telemetry of one experiment invocation inside `run_all`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -74,58 +76,6 @@ impl ExperimentMetrics {
             sim_cycles_per_second,
         }
     }
-}
-
-/// Cold-versus-warm admission-service throughput over a synthetic
-/// device fleet (see `experiments::fleet_comparison`). The rates and
-/// speedup are wall-clock based and therefore nondeterministic;
-/// `identical` is exact — it records whether the cached (warm) answers
-/// were byte-identical to the cache-free (cold) answers of the same
-/// request lines.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FleetComparison {
-    /// Total queries in the synthetic fleet.
-    pub fleet_size: u64,
-    /// Distinct (platform, options, task mix) configurations.
-    pub distinct_configs: u64,
-    /// Queries answered cold (fresh service per query) for the baseline.
-    pub cold_sample: u64,
-    /// Queries per wall second with a fresh service per query.
-    pub cold_queries_per_second: f64,
-    /// Queries per wall second through one shared, warmed service.
-    pub warm_queries_per_second: f64,
-    /// `warm_queries_per_second / cold_queries_per_second`.
-    pub speedup: f64,
-    /// Whether warm answers matched cold answers byte for byte.
-    pub identical: bool,
-}
-
-/// Fork-versus-replay schedule-space-explorer throughput on the F14
-/// scale workload (see `experiments::explore_comparison`). The rates
-/// and speedup are wall-clock based and therefore nondeterministic;
-/// `identical` is exact — it records whether both strategies produced
-/// byte-identical verdicts, counters, and witness JSON on every scale
-/// cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ExploreComparison {
-    /// Task count of the timed cell (the largest scale row, ≥ 6).
-    pub tasks: u64,
-    /// Distinct `(state, choice-point)` pairs both strategies expanded.
-    pub states: u64,
-    /// Oracle transitions both strategies took.
-    pub transitions: u64,
-    /// States expanded per wall second, fork strategy, single thread.
-    pub fork_states_per_second: f64,
-    /// Transitions per wall second, fork strategy, single thread.
-    pub fork_transitions_per_second: f64,
-    /// States expanded per wall second, replay strategy, single thread.
-    pub replay_states_per_second: f64,
-    /// Transitions per wall second, replay strategy, single thread.
-    pub replay_transitions_per_second: f64,
-    /// `fork_states_per_second / replay_states_per_second`.
-    pub speedup: f64,
-    /// Whether fork and replay agreed byte-for-byte on every cell.
-    pub identical: bool,
 }
 
 /// Whole-run aggregates over every experiment.
@@ -205,12 +155,6 @@ pub struct RunMetrics {
     pub registry: Snapshot,
     /// Deterministic probe numbers (see [`Probe`]).
     pub probe: Probe,
-    /// Cold-versus-warm admission-service fleet throughput (see
-    /// [`FleetComparison`]).
-    pub fleet: FleetComparison,
-    /// Fork-versus-replay explorer throughput (see
-    /// [`ExploreComparison`]).
-    pub explore: ExploreComparison,
 }
 
 /// One entry of [`BenchSummary`].
@@ -238,24 +182,12 @@ pub struct BenchSummary {
     /// Per-task response percentiles of the probe scenario
     /// (deterministic; see [`TaskResponseSummary`]).
     pub response: Vec<TaskResponseSummary>,
-    /// Cold-versus-warm admission-service fleet throughput (see
-    /// [`FleetComparison`]).
-    pub fleet: FleetComparison,
-    /// Fork-versus-replay explorer throughput (see
-    /// [`ExploreComparison`]).
-    pub explore: ExploreComparison,
 }
 
 impl RunMetrics {
-    /// Assembles the document from per-experiment records, the final
-    /// registry snapshot, and the throughput comparisons.
-    pub fn new(
-        workers: usize,
-        experiments: Vec<ExperimentMetrics>,
-        registry: Snapshot,
-        fleet: FleetComparison,
-        explore: ExploreComparison,
-    ) -> Self {
+    /// Assembles the document from per-experiment records and the final
+    /// registry snapshot.
+    pub fn new(workers: usize, experiments: Vec<ExperimentMetrics>, registry: Snapshot) -> Self {
         let totals = RunTotals {
             wall_seconds: experiments.iter().map(|e| e.wall_seconds).sum(),
             sim_runs: experiments.iter().map(|e| e.sim_runs).sum(),
@@ -268,8 +200,6 @@ impl RunMetrics {
             totals,
             registry,
             probe: probe(),
-            fleet,
-            explore,
         }
     }
 
@@ -288,8 +218,6 @@ impl RunMetrics {
             total_wall_seconds: self.totals.wall_seconds,
             total_sim_cycles: self.totals.sim_cycles,
             response: self.probe.response.clone(),
-            fleet: self.fleet.clone(),
-            explore: self.explore.clone(),
         }
     }
 }
@@ -397,27 +325,7 @@ mod tests {
         assert_eq!(e.sim_runs, 3);
         assert_eq!(e.sim_cycles, 600);
         assert!(e.sim_cycles_per_second > 0.0);
-        let fleet = FleetComparison {
-            fleet_size: 100_000,
-            distinct_configs: 16,
-            cold_sample: 16,
-            cold_queries_per_second: 10.0,
-            warm_queries_per_second: 100.0,
-            speedup: 10.0,
-            identical: true,
-        };
-        let explore = ExploreComparison {
-            tasks: 8,
-            states: 2_000,
-            transitions: 40_000,
-            fork_states_per_second: 5_000.0,
-            fork_transitions_per_second: 100_000.0,
-            replay_states_per_second: 500.0,
-            replay_transitions_per_second: 10_000.0,
-            speedup: 10.0,
-            identical: true,
-        };
-        let doc = RunMetrics::new(4, vec![e.clone(), e], after, fleet, explore);
+        let doc = RunMetrics::new(4, vec![e.clone(), e], after);
         assert_eq!(doc.totals.sim_runs, 6);
         assert_eq!(doc.totals.sim_cycles, 1200);
         let json = serde_json::to_string(&doc).unwrap();
@@ -431,15 +339,15 @@ mod tests {
         let sjson = serde_json::to_string(&summary).unwrap();
         let sback: BenchSummary = serde_json::from_str(&sjson).unwrap();
         assert_eq!(sback.experiments[0].id, "f3_miss_ratio");
-        assert_eq!(sback.schema_version, SCHEMA_VERSION);
-        assert!(!sjson.contains("\"engine\""), "{sjson}");
+        assert_eq!(sback.schema_version, 6);
+        // No retired throughput record survives in either document.
+        for key in ["\"engine\"", "\"fleet\"", "\"explore\""] {
+            assert!(!json.contains(key), "{key} in {json}");
+            assert!(!sjson.contains(key), "{key} in {sjson}");
+        }
         // The summary carries the probe's per-task percentiles.
         assert_eq!(sback.response, doc.probe.response);
         assert!(!sback.response.is_empty());
-        // …and the fleet throughput record.
-        assert!(sback.fleet.identical);
-        assert_eq!(sback.fleet.fleet_size, 100_000);
-        assert_eq!(sback.fleet.speedup, 10.0);
     }
 
     #[test]

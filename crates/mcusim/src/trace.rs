@@ -1,7 +1,6 @@
 //! Execution traces: the ground truth every experiment is computed from.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use serde::{Deserialize, Serialize};
 
@@ -227,18 +226,20 @@ pub struct TraceEvent {
 /// # Examples
 ///
 /// ```rust
-/// use rtmdm_mcusim::{Cycles, TaskId, JobId, Trace, TraceKind};
+/// use rtmdm_mcusim::{Cycles, JobId, SegmentId, TaskId, Trace, TraceKind};
 ///
+/// let (task, job, segment) = (TaskId(0), JobId(0), SegmentId(0));
 /// let mut trace = Trace::new();
-/// trace.push(Cycles::new(0), TraceKind::JobReleased {
-///     task: TaskId(0), job: JobId(0), deadline: Cycles::new(100),
-/// });
-/// trace.push(Cycles::new(42), TraceKind::JobCompleted {
-///     task: TaskId(0), job: JobId(0), response: Cycles::new(42),
-/// });
-/// assert_eq!(trace.max_response(TaskId(0)), Some(Cycles::new(42)));
-/// assert_eq!(trace.deadline_misses(), 0);
+/// trace.push(Cycles::new(10), TraceKind::SegmentStarted { task, job, segment });
+/// trace.push(Cycles::new(52), TraceKind::SegmentCompleted { task, job, segment });
+/// assert_eq!(trace.len(), 2);
+/// assert_eq!(trace.cpu_busy_cycles(), Cycles::new(42));
+/// assert_eq!(trace.injected_faults(), 0);
 /// ```
+///
+/// Per-task aggregates (responses, misses, utilization) live in
+/// `rtmdm-obs`'s `Timeline`, built from a trace; its `gantt` module
+/// renders a timeline.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Trace {
     events: Vec<TraceEvent>,
@@ -291,40 +292,6 @@ impl Trace {
         self.events.is_empty()
     }
 
-    /// Response times of every completed job of `task`, in job order.
-    pub fn response_times(&self, task: TaskId) -> Vec<Cycles> {
-        self.events
-            .iter()
-            .filter_map(|e| match e.kind {
-                TraceKind::JobCompleted {
-                    task: t, response, ..
-                } if t == task => Some(response),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// The largest observed response time of `task`, if any job completed.
-    pub fn max_response(&self, task: TaskId) -> Option<Cycles> {
-        self.response_times(task).into_iter().max()
-    }
-
-    /// Total deadline misses across all tasks.
-    pub fn deadline_misses(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e.kind, TraceKind::DeadlineMissed { .. }))
-            .count()
-    }
-
-    /// Deadline misses of one task.
-    pub fn deadline_misses_of(&self, task: TaskId) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e.kind, TraceKind::DeadlineMissed { task: t, .. } if t == task))
-            .count()
-    }
-
     /// Total injected DMA transfer faults across all tasks.
     pub fn injected_faults(&self) -> usize {
         self.events
@@ -347,28 +314,6 @@ impl Trace {
             .count()
     }
 
-    /// Number of jobs released per task.
-    pub fn releases(&self) -> BTreeMap<TaskId, u64> {
-        let mut out = BTreeMap::new();
-        for e in &self.events {
-            if let TraceKind::JobReleased { task, .. } = e.kind {
-                *out.entry(task).or_insert(0) += 1;
-            }
-        }
-        out
-    }
-
-    /// Number of segment-boundary preemptions suffered per task.
-    pub fn preemptions(&self) -> BTreeMap<TaskId, u64> {
-        let mut out = BTreeMap::new();
-        for e in &self.events {
-            if let TraceKind::Preempted { task, .. } = e.kind {
-                *out.entry(task).or_insert(0) += 1;
-            }
-        }
-        out
-    }
-
     /// Total cycles the CPU spent executing segments, derived from
     /// start/complete pairs.
     pub fn cpu_busy_cycles(&self) -> Cycles {
@@ -388,40 +333,6 @@ impl Trace {
             }
         }
         busy
-    }
-
-    /// CPU cycles spent executing each task's segments, by task.
-    pub fn cpu_busy_by_task(&self) -> BTreeMap<TaskId, Cycles> {
-        let mut busy: BTreeMap<TaskId, Cycles> = BTreeMap::new();
-        let mut open: BTreeMap<(TaskId, JobId, SegmentId), Cycles> = BTreeMap::new();
-        for e in &self.events {
-            match e.kind {
-                TraceKind::SegmentStarted { task, job, segment } => {
-                    open.insert((task, job, segment), e.time);
-                }
-                TraceKind::SegmentCompleted { task, job, segment } => {
-                    if let Some(start) = open.remove(&(task, job, segment)) {
-                        *busy.entry(task).or_insert(Cycles::ZERO) += e.time - start;
-                    }
-                }
-                _ => {}
-            }
-        }
-        busy
-    }
-
-    /// Observed CPU utilization of `task` over `horizon`, in parts per
-    /// million (100 % = 1 000 000).
-    pub fn cpu_utilization_ppm(&self, task: TaskId, horizon: Cycles) -> u64 {
-        if horizon.is_zero() {
-            return 0;
-        }
-        let busy = self
-            .cpu_busy_by_task()
-            .get(&task)
-            .copied()
-            .unwrap_or(Cycles::ZERO);
-        ((u128::from(busy.get()) * 1_000_000) / u128::from(horizon.get())) as u64
     }
 
     /// CPU idle periods as `(start, end)` pairs derived from
@@ -465,60 +376,6 @@ impl Trace {
             .iter()
             .map(|(s, e)| e.saturating_sub(*s))
             .sum()
-    }
-
-    /// Renders a compact ASCII Gantt chart of segment executions, one row
-    /// per task, `width` columns spanning `[0, horizon]`. Intended for
-    /// debugging and example output, not for parsing.
-    pub fn gantt(&self, horizon: Cycles, width: usize) -> String {
-        assert!(width > 0, "gantt width must be positive");
-        let mut rows: BTreeMap<TaskId, Vec<char>> = BTreeMap::new();
-        let mut open: BTreeMap<(TaskId, JobId, SegmentId), Cycles> = BTreeMap::new();
-        let scale = |t: Cycles| -> usize {
-            if horizon.is_zero() {
-                0
-            } else {
-                ((u128::from(t.get()) * width as u128) / u128::from(horizon.get()))
-                    .min(width as u128 - 1) as usize
-            }
-        };
-        for e in &self.events {
-            match e.kind {
-                TraceKind::SegmentStarted { task, job, segment } => {
-                    open.insert((task, job, segment), e.time);
-                }
-                TraceKind::SegmentCompleted { task, job, segment } => {
-                    if let Some(start) = open.remove(&(task, job, segment)) {
-                        let row = rows.entry(task).or_insert_with(|| vec!['.'; width]);
-                        for cell in row.iter_mut().take(scale(e.time) + 1).skip(scale(start)) {
-                            *cell = '#';
-                        }
-                    }
-                }
-                TraceKind::JobReleased { task, .. } => {
-                    let row = rows.entry(task).or_insert_with(|| vec!['.'; width]);
-                    let col = scale(e.time);
-                    if row[col] == '.' {
-                        row[col] = '^';
-                    }
-                }
-                TraceKind::DeadlineMissed { task, .. } => {
-                    let row = rows.entry(task).or_insert_with(|| vec!['.'; width]);
-                    row[scale(e.time)] = 'X';
-                }
-                _ => {}
-            }
-        }
-        let mut out = String::new();
-        for (task, row) in rows {
-            let _ = writeln!(
-                out,
-                "{:>4} |{}|",
-                task.to_string(),
-                row.iter().collect::<String>()
-            );
-        }
-        out
     }
 }
 
@@ -600,53 +457,9 @@ mod tests {
     }
 
     #[test]
-    fn response_times_and_max() {
-        let t = sample_trace();
-        assert_eq!(t.response_times(TaskId(0)), vec![cy(55)]);
-        assert_eq!(t.max_response(TaskId(0)), Some(cy(55)));
-        assert_eq!(t.max_response(TaskId(1)), None);
-    }
-
-    #[test]
-    fn miss_and_release_counters() {
-        let mut t = sample_trace();
-        assert_eq!(t.deadline_misses(), 0);
-        t.push(
-            cy(100),
-            TraceKind::DeadlineMissed {
-                task: TaskId(0),
-                job: JobId(1),
-            },
-        );
-        assert_eq!(t.deadline_misses(), 1);
-        assert_eq!(t.deadline_misses_of(TaskId(0)), 1);
-        assert_eq!(t.deadline_misses_of(TaskId(1)), 0);
-        assert_eq!(t.releases().get(&TaskId(0)), Some(&1));
-    }
-
-    #[test]
     fn busy_cycles_from_segment_pairs() {
         let t = sample_trace();
         assert_eq!(t.cpu_busy_cycles(), cy(40));
-    }
-
-    #[test]
-    fn per_task_busy_and_utilization() {
-        let t = sample_trace();
-        let busy = t.cpu_busy_by_task();
-        assert_eq!(busy.get(&TaskId(0)), Some(&cy(40)));
-        assert_eq!(t.cpu_utilization_ppm(TaskId(0), cy(100)), 400_000);
-        assert_eq!(t.cpu_utilization_ppm(TaskId(1), cy(100)), 0);
-        assert_eq!(t.cpu_utilization_ppm(TaskId(0), Cycles::ZERO), 0);
-    }
-
-    #[test]
-    fn gantt_renders_rows() {
-        let t = sample_trace();
-        let g = t.gantt(cy(100), 20);
-        assert!(g.contains("T0"));
-        assert!(g.contains('#'));
-        assert!(g.contains('^'));
     }
 
     #[test]
@@ -692,18 +505,5 @@ mod tests {
         u.push(cy(5), TraceKind::CpuIdleEnd);
         u.push(cy(100), TraceKind::CpuIdle);
         assert_eq!(u.idle_intervals(cy(100)), vec![]);
-    }
-
-    #[test]
-    fn preemption_counter() {
-        let mut t = Trace::new();
-        t.push(
-            cy(1),
-            TraceKind::Preempted {
-                task: TaskId(2),
-                by: TaskId(0),
-            },
-        );
-        assert_eq!(t.preemptions().get(&TaskId(2)), Some(&1));
     }
 }

@@ -201,7 +201,7 @@ fn admitted_reference_pair_is_explorer_safe_under_exec_endpoints() {
 // ---------------------------------------------------------------------
 
 #[test]
-fn overload_miss_witness_replays_on_both_engines() {
+fn overload_miss_witness_replays_deterministically() {
     let mut spec = SystemSpec::new(PlatformConfig::stm32f746_qspi());
     spec.push(TaskSpec::new("ic", zoo::resnet8(), 10_000, 10_000));
     let outcome = spec.check_with(&CheckOptions {
@@ -218,7 +218,7 @@ fn overload_miss_witness_replays_on_both_engines() {
 }
 
 #[test]
-fn jitter_miss_witness_replays_on_both_engines() {
+fn jitter_miss_witness_replays_deterministically() {
     // Feasible when periodic (600 compute in a 1000 deadline); a
     // 500-cycle release jitter pushes completion past the anchored
     // deadline on exactly one explored branch.
@@ -246,7 +246,7 @@ fn jitter_miss_witness_replays_on_both_engines() {
 }
 
 #[test]
-fn widened_window_race_witness_replays_on_both_engines() {
+fn widened_window_race_witness_replays_deterministically() {
     let ts = TaskSet::from_tasks(vec![SporadicTask::new(
         "a",
         cy(2_000_000),
@@ -264,7 +264,7 @@ fn widened_window_race_witness_replays_on_both_engines() {
 }
 
 #[test]
-fn retry_budget_witness_replays_on_both_engines() {
+fn retry_budget_witness_replays_deterministically() {
     let ts = TaskSet::from_tasks(vec![SporadicTask::new(
         "a",
         cy(40_000),
@@ -361,7 +361,7 @@ proptest! {
     })]
 
     #[test]
-    fn explored_witnesses_replay_byte_identically_on_both_engines(
+    fn explored_witnesses_replay_deterministically(
         n in 1usize..4,
         util_ppm in 300_000u64..1_200_000,
         seed in 0u64..64,
