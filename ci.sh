@@ -158,42 +158,27 @@ grep -q 'RTM050' "$explore_out" || {
   echo "explore smoke: overload report missing RTM050" >&2; exit 1; }
 grep -q '"rtmdm-witness/1"' "$witness_out" || {
   echo "explore smoke: witness JSON missing schema marker" >&2; exit 1; }
-# Strategy equivalence on the same pinned RTM050 scenario: fork-based
-# incremental exploration and replay-from-zero must produce the exact
-# same report bytes and witness JSON (the CLI-level corollary of the
-# differential property suite; DESIGN.md §2.7).
-fork_report="$(mktemp)"; fork_witness="$(mktemp)"
-replay_report="$(mktemp)"; replay_witness="$(mktemp)"
-set +e
-./target/release/rtmdm check --platform stm32f746-qspi --task ic=resnet8@10 \
-  --explore --strategy fork --witness "$fork_witness" > "$fork_report"
-fork_code=$?
-./target/release/rtmdm check --platform stm32f746-qspi --task ic=resnet8@10 \
-  --explore --strategy replay --witness "$replay_witness" > "$replay_report"
-replay_code=$?
-set -e
-if [[ $fork_code -ne 2 || $replay_code -ne 2 ]]; then
-  echo "explore smoke: strategies exited $fork_code/$replay_code, want 2/2" >&2
-  exit 1
-fi
-cmp -s "$fork_report" "$replay_report" || {
-  echo "explore smoke: fork and replay reports differ" >&2; exit 1; }
-cmp -s "$fork_witness" "$replay_witness" || {
-  echo "explore smoke: fork and replay witness JSON differ" >&2; exit 1; }
-# Thread-count invariance: the speculative parallel frontier may not
-# change a single output byte.
-threads1_out="$(mktemp)"
-threads8_out="$(mktemp)"
+# Thread-count invariance on the same pinned RTM050 scenario: the
+# speculative parallel frontier may not change a single byte of the
+# report or the witness JSON (DESIGN.md §2.7, invariant 10).
+threads1_out="$(mktemp)"; threads1_witness="$(mktemp)"
+threads8_out="$(mktemp)"; threads8_witness="$(mktemp)"
 set +e
 RTMDM_THREADS=1 ./target/release/rtmdm check --platform stm32f746-qspi \
-  --task ic=resnet8@10 --explore > "$threads1_out"
+  --task ic=resnet8@10 --explore --witness "$threads1_witness" > "$threads1_out"
+code1=$?
 RTMDM_THREADS=8 ./target/release/rtmdm check --platform stm32f746-qspi \
-  --task ic=resnet8@10 --explore > "$threads8_out"
+  --task ic=resnet8@10 --explore --witness "$threads8_witness" > "$threads8_out"
+code8=$?
 set -e
+if [[ $code1 -ne 2 || $code8 -ne 2 ]]; then
+  echo "explore smoke: threads exited $code1/$code8, want 2/2" >&2; exit 1
+fi
 cmp -s "$threads1_out" "$threads8_out" || {
-  echo "explore smoke: output differs between 1 and 8 threads" >&2; exit 1; }
-rm -f "$fork_report" "$fork_witness" "$replay_report" "$replay_witness" \
-  "$threads1_out" "$threads8_out"
+  echo "explore smoke: report differs between 1 and 8 threads" >&2; exit 1; }
+cmp -s "$threads1_witness" "$threads8_witness" || {
+  echo "explore smoke: witness JSON differs between 1 and 8 threads" >&2; exit 1; }
+rm -f "$threads1_out" "$threads1_witness" "$threads8_out" "$threads8_witness"
 ./target/release/rtmdm check --explain RTM050 > "$explore_out"
 grep -q 'RTM050' "$explore_out" || {
   echo "explore smoke: --explain RTM050 failed" >&2; exit 1; }

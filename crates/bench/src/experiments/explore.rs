@@ -14,22 +14,21 @@
 //! benchmark's `explore-scale` workload, never here.
 //!
 //! The scale companion (`results/f14_explore_scale.txt`) extends the
-//! same workload family to 6–8 tasks and runs every cell under **both**
-//! exploration strategies, single-threaded: `fork` (resume each branch
-//! from the nearest captured [`SimSnapshot`]) against `replay`
-//! (re-simulate every path from cycle zero). The scale cells differ
-//! from the 1–5-task rows in two deliberate ways: a lighter total
-//! utilization (the F14 shape is unschedulable on its first run past
-//! five tasks, leaving nothing to search) and a 6× longer probe
-//! horizon under the deep-first branch order — the regime where the
-//! search frontier sits far into the horizon and the strategies
-//! actually diverge in cost, since a forked branch resumes at its
-//! divergence while a replayed one re-simulates the whole prefix. The
-//! columns — counters, verdict, the fork-equals-replay byte-identity
-//! gate, and the largest snapshot footprint on the default path — are
-//! all deterministic and byte-pinned.
+//! same workload family to 6–8 tasks, explored single-threaded by
+//! the fork strategy (each branch resumes from the nearest captured
+//! [`SimSnapshot`]). The scale cells differ from the 1–5-task rows in
+//! two deliberate ways: a lighter total utilization (the F14 shape is
+//! unschedulable on its first run past five tasks, leaving nothing to
+//! search) and a 6× longer probe horizon under the deep-first branch
+//! order — the regime where the search frontier sits far into the
+//! horizon, so a forked branch resumes near its divergence instead of
+//! re-simulating the whole prefix. The columns — counters, verdict,
+//! and the largest snapshot footprint on the default path — are all
+//! deterministic and byte-pinned. That fork matches the replay-from-
+//! zero reference byte for byte on these cells is a test
+//! (`tests/explore_crossval.rs`), not a table column.
 
-use rtmdm_check::{explore, ExploreLimits, ExploreOrder, ExploreOutcome, ExploreStrategy};
+use rtmdm_check::{explore, ExploreLimits, ExploreOrder, ExploreOutcome};
 use rtmdm_core::report;
 use rtmdm_mcusim::{FaultPlan, PlatformConfig};
 use rtmdm_sched::gen::{generate, TasksetParams};
@@ -132,21 +131,6 @@ pub fn f14_explore() -> String {
     )
 }
 
-/// One comparable blob per outcome: findings, witness JSON, counters.
-/// Byte-equality of these blobs is the table's `identical` gate.
-fn fingerprint(out: &ExploreOutcome) -> String {
-    let findings: Vec<String> = out
-        .findings
-        .iter()
-        .map(|f| format!("{:?}|{}|{:?}", f.rule, f.message, f.task))
-        .collect();
-    let witness = out
-        .witness
-        .as_ref()
-        .map(|w| serde_json::to_string(w).expect("witness serializes"));
-    format!("{findings:?}\n{witness:?}\n{:?}", out.stats)
-}
-
 /// Always answers the deterministic default — the explorer's first
 /// candidate — so a single capturing run walks the default path.
 struct DefaultOracle;
@@ -166,29 +150,26 @@ fn max_snapshot_bytes(ts: &TaskSet, platform: &PlatformConfig, config: &SimConfi
     caps.iter().map(SimSnapshot::size_hint).max().unwrap_or(0)
 }
 
-/// F14 scale companion — fork versus replay at 6–8 tasks.
+/// F14 scale companion — deep-first fork exploration at 6–8 tasks.
 pub fn f14_explore_scale() -> String {
     let platform = super::eval_platform();
     let mut rows = Vec::new();
     for n in 6..=8usize {
         let (ts, config) = cell(&platform, n, SCALE_UTIL_PPM, SCALE_HORIZON_PERIODS);
-        let limits = |strategy| ExploreLimits {
+        let limits = ExploreLimits {
             max_states: MAX_STATES,
             jitter_max_cycles: 0,
-            strategy,
             threads: 1,
             order: ExploreOrder::DeepFirst,
+            ..ExploreLimits::default()
         };
-        let fork = explore(&ts, &platform, &config, &limits(ExploreStrategy::Fork));
-        let replay = explore(&ts, &platform, &config, &limits(ExploreStrategy::Replay));
-        let same = fingerprint(&fork) == fingerprint(&replay);
+        let out = explore(&ts, &platform, &config, &limits);
         rows.push(vec![
             n.to_string(),
-            fork.stats.states.to_string(),
-            fork.stats.runs.to_string(),
-            fork.stats.transitions.to_string(),
-            verdict(&fork),
-            if same { "yes" } else { "no" }.to_owned(),
+            out.stats.states.to_string(),
+            out.stats.runs.to_string(),
+            out.stats.transitions.to_string(),
+            verdict(&out),
             max_snapshot_bytes(&ts, &platform, &config).to_string(),
         ]);
     }
@@ -199,7 +180,6 @@ pub fn f14_explore_scale() -> String {
             "runs",
             "transitions",
             "verdict",
-            "identical",
             "snapshot_bytes",
         ],
         &rows,

@@ -5,8 +5,8 @@
 //! human-readable tables:
 //!
 //! - `results/metrics.json` — the full [`RunMetrics`] record: per
-//!   experiment wall time, simulated-run counts, sim-cycle throughput,
-//!   the aggregate registry snapshot, and a deterministic probe
+//!   experiment wall time, simulated-run counts and cycles, the
+//!   aggregate registry snapshot, and a deterministic probe
 //!   (pipeline counters over the model zoo plus the timeline summary
 //!   of a small fixed scenario);
 //! - `BENCH_run_all.json` at the repo root — the schema-stable
@@ -38,7 +38,10 @@ use rtmdm_xmem::{pipeline, segment_model, ExecutionStrategy};
 /// both documents); the simulator has a single event loop.
 /// v6: dropped the single-shot `fleet` and `explore` throughput
 /// records; the `perfbench` benchmark measures both with spread.
-pub const SCHEMA_VERSION: u64 = 6;
+/// v7: dropped the single-shot per-experiment `sim_cycles_per_second`
+/// rate from `metrics.json`; perfbench's `sim_events_per_s` is the
+/// simulator throughput, measured with spread.
+pub const SCHEMA_VERSION: u64 = 7;
 
 /// Telemetry of one experiment invocation inside `run_all`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -51,29 +54,17 @@ pub struct ExperimentMetrics {
     pub sim_runs: u64,
     /// Simulated cycles covered by those runs.
     pub sim_cycles: u64,
-    /// Simulated cycles retired per wall-clock second (0 when the
-    /// experiment ran no simulations or finished below timer precision).
-    pub sim_cycles_per_second: f64,
 }
 
 impl ExperimentMetrics {
     /// Builds the record for one experiment from its wall time and the
     /// registry snapshots taken before and after it ran.
     pub fn from_snapshots(id: &str, wall: Duration, before: &Snapshot, after: &Snapshot) -> Self {
-        let wall_seconds = wall.as_secs_f64();
-        let sim_runs = after.counter_delta(before, "sim.runs");
-        let sim_cycles = after.counter_delta(before, "sim.cycles");
-        let sim_cycles_per_second = if wall_seconds > 1e-9 && sim_cycles > 0 {
-            sim_cycles as f64 / wall_seconds
-        } else {
-            0.0
-        };
         ExperimentMetrics {
             id: id.to_owned(),
-            wall_seconds,
-            sim_runs,
-            sim_cycles,
-            sim_cycles_per_second,
+            wall_seconds: wall.as_secs_f64(),
+            sim_runs: after.counter_delta(before, "sim.runs"),
+            sim_cycles: after.counter_delta(before, "sim.cycles"),
         }
     }
 }
@@ -324,7 +315,6 @@ mod tests {
         );
         assert_eq!(e.sim_runs, 3);
         assert_eq!(e.sim_cycles, 600);
-        assert!(e.sim_cycles_per_second > 0.0);
         let doc = RunMetrics::new(4, vec![e.clone(), e], after);
         assert_eq!(doc.totals.sim_runs, 6);
         assert_eq!(doc.totals.sim_cycles, 1200);
@@ -339,21 +329,19 @@ mod tests {
         let sjson = serde_json::to_string(&summary).unwrap();
         let sback: BenchSummary = serde_json::from_str(&sjson).unwrap();
         assert_eq!(sback.experiments[0].id, "f3_miss_ratio");
-        assert_eq!(sback.schema_version, 6);
+        assert_eq!(sback.schema_version, 7);
         // No retired throughput record survives in either document.
-        for key in ["\"engine\"", "\"fleet\"", "\"explore\""] {
+        for key in [
+            "\"engine\"",
+            "\"fleet\"",
+            "\"explore\"",
+            "\"sim_cycles_per_second\"",
+        ] {
             assert!(!json.contains(key), "{key} in {json}");
             assert!(!sjson.contains(key), "{key} in {sjson}");
         }
         // The summary carries the probe's per-task percentiles.
         assert_eq!(sback.response, doc.probe.response);
         assert!(!sback.response.is_empty());
-    }
-
-    #[test]
-    fn zero_wall_time_does_not_divide_by_zero() {
-        let empty = Snapshot::default();
-        let e = ExperimentMetrics::from_snapshots("t1_models", Duration::ZERO, &empty, &empty);
-        assert_eq!(e.sim_cycles_per_second, 0.0);
     }
 }

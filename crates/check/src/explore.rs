@@ -20,14 +20,14 @@
 //! [`crate::state`]). Two orthogonal levers set how each path is
 //! executed, neither of which changes a single output byte:
 //!
-//! - **Strategy** ([`ExploreStrategy`]): under `Fork` (the default),
-//!   each run captures a [`SimSnapshot`] at every instant boundary that
-//!   may reach a choice point, and every branch resumes from the latest
-//!   snapshot at or before its branched query instead of replaying the
-//!   whole prefix from time zero. `Replay` keeps the from-zero
-//!   re-execution as the differential reference; an equivalence
-//!   property test pins that the two produce identical verdicts, stats,
-//!   and witness JSON.
+//! - **Strategy** ([`ExploreStrategy`]): each run captures a
+//!   [`SimSnapshot`] at every instant boundary that may reach a choice
+//!   point, and every branch resumes from the latest snapshot at or
+//!   before its branched query instead of replaying the whole prefix
+//!   from time zero. `Fork` is the only strategy any caller outside
+//!   the tests selects; `Replay` keeps the from-zero re-execution as
+//!   the differential reference the test suites compare fork against
+//!   (identical verdicts, stats, and witness JSON).
 //! - **Threads** ([`ExploreLimits::threads`]): paths near the top of
 //!   the work stack are executed *speculatively* in parallel. Because a
 //!   path's run is a pure function of its prefix (the oracle holds no
@@ -61,12 +61,12 @@ use crate::state::{
 ///
 /// Strategies differ only in cost: every verdict, counter, and witness
 /// byte is identical across them (pinned by the differential property
-/// suite and the CI `cmp` smoke).
+/// suite). The CLI has no strategy flag; every caller runs `Fork`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExploreStrategy {
-    /// Re-execute every path from time zero. The semantic reference:
-    /// each run's cost is the full horizon regardless of where it
-    /// branched.
+    /// Re-execute every path from time zero. The tests' semantic
+    /// reference, never selected outside them: each run's cost is the
+    /// full horizon regardless of where it branched.
     Replay,
     /// Fork each branch from a mid-run [`SimSnapshot`] captured by the
     /// run that scheduled it, paying only for the path suffix past the
@@ -112,13 +112,14 @@ pub struct ExploreLimits {
     /// Upper endpoint of the release-jitter dimension, in cycles; zero
     /// keeps arrivals strictly periodic.
     pub jitter_max_cycles: u64,
-    /// Path-execution strategy (`rtmdm check --strategy`). Outputs are
-    /// byte-identical across strategies; `Fork` is the default because
-    /// it is asymptotically cheaper on deep search trees.
+    /// Path-execution strategy, a library-level field with no CLI
+    /// flag. Outputs are byte-identical across strategies; `Fork`, the
+    /// default, is what every caller runs, and `Replay` exists as the
+    /// tests' reference.
     pub strategy: ExploreStrategy,
-    /// Worker threads for speculative path execution (`rtmdm check
-    /// --threads`); `0` defers to `RTMDM_THREADS` / available
-    /// parallelism. Outputs are byte-identical at any count.
+    /// Worker threads for speculative path execution, a library-level
+    /// field with no CLI flag; `0` defers to `RTMDM_THREADS` /
+    /// available parallelism. Outputs are byte-identical at any count.
     pub threads: usize,
     /// Branch scheduling order (see [`ExploreOrder`]).
     pub order: ExploreOrder,

@@ -52,11 +52,9 @@
 //! default is 20000; exceeding the bound reports `RTM053`,
 //! inconclusive rather than silently safe) and `--witness PATH`
 //! writes the replayable counterexample JSON when a violation is
-//! reached. `--strategy replay|fork` picks how the explorer executes
-//! each path (`fork`, the default, resumes branches from mid-run
-//! snapshots; `replay` re-runs each path from time zero) and
-//! `--threads N` sets the speculative path-execution workers (0, the
-//! default, defers to `RTMDM_THREADS`); neither changes a single
+//! reached. The explorer resumes branches from mid-run snapshots and
+//! runs speculative paths on `RTMDM_THREADS` workers (available
+//! parallelism when unset); the worker count never changes a single
 //! output byte. Exit status: 0 on success (schedulable for `admit`, no
 //! errors for `check`), 2 when admission or verification rejects, 1
 //! on usage errors.
@@ -79,7 +77,7 @@ fn usage() -> ExitCode {
          [--miss-policy continue|abort|skip-next] \
          [--attribution on|off] [--out PATH] [--format chrome|jsonl] [--gantt] \
          [--json] [--deny-warnings] [--allow RULE] [--deny RULE] [--explain RULE] \
-         [--explore] [--max-states N] [--strategy replay|fork] [--threads N] [--witness PATH] \
+         [--explore] [--max-states N] [--witness PATH] \
          (serve: [--once] [--input PATH])"
     );
     ExitCode::from(1)
@@ -116,19 +114,7 @@ struct Cli {
     explain: Option<String>,
     explore: bool,
     max_states: Option<usize>,
-    explore_strategy: rtmdm_core::ExploreStrategy,
-    threads: usize,
     witness: Option<String>,
-}
-
-fn parse_strategy(s: &str) -> Option<Strategy> {
-    match s {
-        "rt-mdm" => Some(Strategy::RtMdm),
-        "fetch-then-compute" => Some(Strategy::FetchThenCompute),
-        "whole-dnn" => Some(Strategy::WholeDnn),
-        "all-in-sram" => Some(Strategy::AllInSram),
-        _ => None,
-    }
 }
 
 fn parse_task(arg: &str) -> Option<TaskSpec> {
@@ -149,7 +135,7 @@ fn parse_task(arg: &str) -> Option<TaskSpec> {
     let model = zoo::by_name(model_name)?;
     let mut spec = TaskSpec::new(name, model, period_ms * 1000, deadline_ms * 1000);
     if let Some(s) = strategy {
-        spec = spec.with_strategy(parse_strategy(s)?);
+        spec = spec.with_strategy(s.parse::<Strategy>().ok()?);
     }
     Some(spec)
 }
@@ -171,8 +157,6 @@ fn parse(args: &[String]) -> Result<Cli, CliError> {
     let mut explain = None;
     let mut explore = false;
     let mut max_states = None;
-    let mut explore_strategy = rtmdm_core::ExploreStrategy::default();
-    let mut threads = 0;
     let mut witness = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -284,24 +268,6 @@ fn parse(args: &[String]) -> Result<Cli, CliError> {
                         .ok_or(CliError::Usage)?,
                 );
             }
-            "--strategy" => {
-                let s = it.next().ok_or(CliError::Usage)?;
-                explore_strategy = match s.as_str() {
-                    "replay" => rtmdm_core::ExploreStrategy::Replay,
-                    "fork" => rtmdm_core::ExploreStrategy::Fork,
-                    _ => {
-                        return Err(CliError::Msg(format!(
-                            "unknown --strategy `{s}` (expected `replay` or `fork`)"
-                        )))
-                    }
-                };
-            }
-            "--threads" => {
-                threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or(CliError::Usage)?;
-            }
             "--witness" => witness = Some(it.next().ok_or(CliError::Usage)?.clone()),
             _ => return Err(CliError::Usage),
         }
@@ -323,8 +289,6 @@ fn parse(args: &[String]) -> Result<Cli, CliError> {
         explain,
         explore,
         max_states,
-        explore_strategy,
-        threads,
         witness,
     })
 }
@@ -669,8 +633,6 @@ fn cmd_check(cli: &Cli) -> ExitCode {
             // below WCET. The explorer turns that into a per-job
             // execution-time choice dimension.
             exec_scale_min_ppm: 1_000_000 - cli.jitter_pct * 10_000,
-            strategy: cli.explore_strategy,
-            threads: cli.threads,
             ..rtmdm_core::ExploreOptions::default()
         }),
     };

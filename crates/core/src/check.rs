@@ -63,13 +63,15 @@ pub struct ExploreOptions {
     /// the double-buffer discipline. Wider windows exist for `RTM051`
     /// reachability experiments.
     pub staging_window: u32,
-    /// Path-execution strategy (`--strategy replay|fork`). Verdicts,
-    /// counters, and witnesses are byte-identical across strategies;
-    /// `Fork` (the default) is the cheaper one.
+    /// Path-execution strategy, a library-level field with no CLI
+    /// flag. Verdicts, counters, and witnesses are byte-identical
+    /// across strategies; `Fork` (the default) is what `rtmdm check
+    /// --explore` runs, and `Replay` is the tests' reference.
     pub strategy: ExploreStrategy,
-    /// Worker threads for speculative path execution (`--threads`);
-    /// `0` (the default) defers to `RTMDM_THREADS` / available
-    /// parallelism. Outputs are byte-identical at any count.
+    /// Worker threads for speculative path execution, a library-level
+    /// field with no CLI flag; `0` (the default) defers to
+    /// `RTMDM_THREADS` / available parallelism. Outputs are
+    /// byte-identical at any count.
     pub threads: usize,
 }
 

@@ -54,7 +54,7 @@ use serde::{Content, Serialize};
 use crate::check::SystemSpec;
 use crate::error::AdmitError;
 use crate::framework::{scheduler_mode, FrameworkOptions, PriorityAssignment, RtMdm};
-use crate::spec::{Strategy, TaskSpec};
+use crate::spec::TaskSpec;
 
 pub use rtmdm_check::JsonReport;
 
@@ -493,19 +493,6 @@ fn parse_assignment(v: &Content) -> Result<PriorityAssignment, String> {
     }
 }
 
-fn parse_strategy(v: &Content, field: &str) -> Result<Strategy, String> {
-    match want_str(v, field)? {
-        "rt-mdm" => Ok(Strategy::RtMdm),
-        "fetch-then-compute" => Ok(Strategy::FetchThenCompute),
-        "whole-dnn" => Ok(Strategy::WholeDnn),
-        "all-in-sram" => Ok(Strategy::AllInSram),
-        other => Err(format!(
-            "unknown strategy `{other}` (known: rt-mdm, fetch-then-compute, \
-             whole-dnn, all-in-sram)"
-        )),
-    }
-}
-
 fn parse_miss_policy(v: &Content, field: &str) -> Result<MissPolicy, String> {
     match want_str(v, field)? {
         "continue" => Ok(MissPolicy::Continue),
@@ -550,7 +537,7 @@ fn parse_options(v: &Content) -> Result<FrameworkOptions, String> {
                 options.work_conserving = want_bool(value, "options.work_conserving")?;
             }
             "force_strategy" => {
-                options.force_strategy = Some(parse_strategy(value, "options.force_strategy")?);
+                options.force_strategy = Some(want_str(value, "options.force_strategy")?.parse()?);
             }
             "segment_compute_cap_us" => {
                 options.segment_compute_cap_us =
@@ -614,7 +601,7 @@ fn parse_task(v: &Content, index: usize) -> Result<TaskSpec, String> {
             "activation_budget_bytes" => {
                 activation_budget_bytes = Some(want_u64(value, &field)?);
             }
-            "strategy" => strategy = Some(parse_strategy(value, &field)?),
+            "strategy" => strategy = Some(want_str(value, &field)?.parse()?),
             "miss_policy" => miss_policy = Some(parse_miss_policy(value, &field)?),
             other => return Err(format!("unknown task field `{other}` in tasks[{index}]")),
         }

@@ -23,15 +23,46 @@ pub enum Strategy {
     AllInSram,
 }
 
-impl std::fmt::Display for Strategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
+impl Strategy {
+    /// Every strategy, in declaration order.
+    const ALL: [Strategy; 4] = [
+        Strategy::RtMdm,
+        Strategy::FetchThenCompute,
+        Strategy::WholeDnn,
+        Strategy::AllInSram,
+    ];
+
+    /// The user-facing name: the `--task …:strategy` suffix and the
+    /// `serve` wire value.
+    fn name(self) -> &'static str {
+        match self {
             Strategy::RtMdm => "rt-mdm",
             Strategy::FetchThenCompute => "fetch-then-compute",
             Strategy::WholeDnn => "whole-dnn",
             Strategy::AllInSram => "all-in-sram",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl std::fmt::Display for Strategy {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+/// The inverse of [`Display`](std::fmt::Display): parses a strategy
+/// name, or explains which names exist.
+impl std::str::FromStr for Strategy {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Strategy, String> {
+        Strategy::ALL
+            .into_iter()
+            .find(|v| v.name() == s)
+            .ok_or_else(|| {
+                let known: Vec<&str> = Strategy::ALL.iter().map(|v| v.name()).collect();
+                format!("unknown strategy `{s}` (known: {})", known.join(", "))
+            })
     }
 }
 
@@ -161,5 +192,20 @@ mod tests {
         assert_eq!(spec.strategy, Strategy::WholeDnn);
         assert_eq!(Strategy::RtMdm.to_string(), "rt-mdm");
         assert_eq!(Strategy::default(), Strategy::RtMdm);
+    }
+
+    #[test]
+    fn every_strategy_round_trips_through_from_str() {
+        for strategy in Strategy::ALL {
+            assert_eq!(strategy.to_string().parse::<Strategy>(), Ok(strategy));
+        }
+        assert_eq!(
+            "rtmdm".parse::<Strategy>(),
+            Err(
+                "unknown strategy `rtmdm` (known: rt-mdm, fetch-then-compute, \
+                 whole-dnn, all-in-sram)"
+                    .to_owned()
+            )
+        );
     }
 }

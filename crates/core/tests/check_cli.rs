@@ -90,6 +90,28 @@ fn check_unknown_rule_is_a_usage_error() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("RTM999"));
 }
 
+/// The explorer has one user-facing way to run: fork, on
+/// `RTMDM_THREADS` workers. Its former strategy and thread-count
+/// flags are usage errors, not silently ignored settings.
+#[test]
+fn check_explore_rejects_retired_strategy_and_threads_flags() {
+    for retired in [
+        ["--strategy", "fork"],
+        ["--strategy", "replay"],
+        ["--threads", "2"],
+    ] {
+        let mut args = vec!["check", "--task", "ic=resnet8@400", "--explore"];
+        args.extend(retired);
+        let out = rtmdm(&args);
+        assert_eq!(out.status.code(), Some(1), "{retired:?}");
+        assert!(out.stdout.is_empty(), "{retired:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).starts_with("usage: rtmdm"),
+            "{retired:?}"
+        );
+    }
+}
+
 /// Every zoo model on every platform preset: the verifier must always
 /// produce parseable JSON and exit 0 (clean) or 2 (findings) — never
 /// crash, never emit garbage. Relaxed 1 s periods keep feasibility

@@ -18,9 +18,11 @@
 //! 3. **Strategy and thread-count equivalence** — the fork-based
 //!    incremental explorer and the replay-from-zero reference produce
 //!    identical verdicts, counters, and witness JSON over random task
-//!    sets × jitter × fault environments, and the
-//!    `check --explore` pipeline's output is byte-identical at any
-//!    speculative worker count.
+//!    sets × jitter × fault environments and on the budget-cut F14s
+//!    scale cells (deep-first, 6–8 tasks), and the `check --explore`
+//!    pipeline's output is byte-identical at any speculative worker
+//!    count. `Replay` is the library's reference strategy: the CLI
+//!    always runs fork, so these tests are where the two meet.
 
 use proptest::prelude::*;
 
@@ -401,7 +403,7 @@ proptest! {
         }
     }
 
-    /// The differential contract behind `--strategy`: fork-based
+    /// The differential contract behind the fork strategy: fork-based
     /// incremental exploration and replay-from-zero produce identical
     /// verdicts, counters, and witness JSON over random task sets ×
     /// jitter × fault environments.
@@ -467,9 +469,10 @@ fn outcome_fingerprint(out: &ExploreOutcome) -> String {
     format!("{findings:?}\n{witness:?}\n{:?}", out.stats)
 }
 
-/// `check --explore` output is byte-identical at any speculative
-/// worker count, for both strategies (the CI smoke repeats this on the
-/// CLI binary with `RTMDM_THREADS=1` vs `8`).
+/// `check --explore` output — report text, stats and witness JSON — is
+/// byte-identical at any speculative worker count, for both strategies
+/// (the CI smoke repeats the thread half on the CLI binary with
+/// `RTMDM_THREADS=1` vs `8`, report and witness).
 #[test]
 fn check_explore_pipeline_is_thread_count_invariant() {
     let run = |strategy, threads| {
@@ -500,4 +503,60 @@ fn check_explore_pipeline_is_thread_count_invariant() {
         run(ExploreStrategy::Replay, 8),
         "strategies must agree byte for byte"
     );
+}
+
+/// Fork equals replay in the scale regime the F14s table explores:
+/// deep-first order, 6–8 tasks at 25 % utilization, a 12-period
+/// horizon, and searches that branch hundreds of times before the
+/// state budget cuts them (the random sets above are small and mostly
+/// complete). The 6-task cell checks the witness path; the budgets of
+/// the 7- and 8-task cells sit just above the point where the first
+/// run alone exhausts them, so both still fork on every branch.
+#[test]
+fn fork_equals_replay_on_the_f14s_scale_cells() {
+    let platform = PlatformConfig::stm32f746_qspi();
+    for (n, max_states, want) in [
+        (6usize, 2_000usize, Rule::Rtm050),
+        (7, 1_100, Rule::Rtm053),
+        (8, 1_150, Rule::Rtm053),
+    ] {
+        let mut params = TasksetParams::baseline(n, 250_000).with_grid_periods();
+        params.segments_range = (2, 4);
+        let ts = generate(&params, &platform, 1);
+        let horizon = ts.tasks().iter().map(|t| t.period).max().unwrap() * 12;
+        let mut cfg = base_config(horizon.get());
+        cfg.exec_scale_min_ppm = 600_000;
+        let run = |strategy, threads| {
+            explore(
+                &ts,
+                &platform,
+                &cfg,
+                &ExploreLimits {
+                    max_states,
+                    strategy,
+                    threads,
+                    order: ExploreOrder::DeepFirst,
+                    ..ExploreLimits::default()
+                },
+            )
+        };
+        let fork = run(ExploreStrategy::Fork, 1);
+        assert_eq!(fork.findings[0].rule, want, "{n} tasks");
+        if want == Rule::Rtm053 {
+            assert!(fork.stats.runs > 100, "{n} tasks: {:?}", fork.stats);
+        } else {
+            assert!(fork.witness.is_some(), "{n} tasks: no witness");
+        }
+        let blob = outcome_fingerprint(&fork);
+        assert_eq!(
+            blob,
+            outcome_fingerprint(&run(ExploreStrategy::Fork, 8)),
+            "{n} tasks: fork at 1 vs 8 threads"
+        );
+        assert_eq!(
+            blob,
+            outcome_fingerprint(&run(ExploreStrategy::Replay, 1)),
+            "{n} tasks: fork vs replay"
+        );
+    }
 }

@@ -15,13 +15,15 @@
 //! a plain `RtMdm::admit` of the same specs. Hostile inputs (2^63 and
 //! 2^64 − 1 byte fetch buffers, other 64-bit extremes and a zero
 //! period, a 200 000-deep JSON array) must yield one record each —
-//! rejects and error records, never a panic or an unsound admit.
+//! rejects and error records, never a panic or an unsound admit — and
+//! a property draws every numeric wire field from integer extremes
+//! and checks the same two promises.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rt_mdm::core::{AdmitError, FrameworkOptions, RtMdm, Service, TaskSpec};
+use rt_mdm::core::{Admission, AdmitError, FrameworkOptions, RtMdm, Service, TaskSpec};
 use rt_mdm::dnn::zoo;
 use rt_mdm::mcusim::PlatformConfig;
 use rt_mdm::sched::analysis::{critical_scaling_ppm, SchedulerMode};
@@ -418,6 +420,108 @@ fn extreme_integer_fields_answer_one_record_each() {
     assert!(out[2].contains(r#""verdict":"reject""#), "{}", out[2]);
     assert!(out[2].contains("memory planning"), "{}", out[2]);
     assert!(out[2].contains("RTM004"), "{}", out[2]);
+}
+
+/// The integer extremes the adversarial property draws each numeric
+/// wire field from, besides one sane value per field.
+const EXTREMES: [u64; 5] = [0, 1, 1 << 32, 1 << 63, u64::MAX];
+
+/// `sane` half the time, otherwise one of [`EXTREMES`] uniformly. The
+/// even split keeps some requests admissible, so the SRAM invariant
+/// sees admitted sets with an extreme field or two.
+fn adversarial(rng: &mut StdRng, sane: u64) -> u64 {
+    if rng.gen_bool(0.5) {
+        sane
+    } else {
+        EXTREMES[rng.gen_range(0..EXTREMES.len())]
+    }
+}
+
+/// An adversarial request on the reference platform, every numeric
+/// wire field set: its wire line and the direct admission of the same
+/// specs (`None` when the framework refuses them).
+fn hostile_request(rng: &mut StdRng, id: &str) -> (String, Option<Admission>) {
+    let cap = adversarial(rng, 10_000);
+    let mut wire = Vec::new();
+    let mut specs = Vec::new();
+    for i in 0..rng.gen_range(1..=2usize) {
+        let model = if rng.gen_bool(0.5) {
+            "ds-cnn"
+        } else {
+            "micro-mlp"
+        };
+        let period = adversarial(rng, 100_000);
+        let deadline = adversarial(rng, 100_000);
+        let buffer = adversarial(rng, 64 * 1024);
+        let budget = adversarial(rng, 64 * 1024);
+        wire.push(format!(
+            r#"{{"name":"t{i}","model":"{model}","period_us":{period},"deadline_us":{deadline},"buffer_bytes":{buffer},"activation_budget_bytes":{budget}}}"#
+        ));
+        specs.push(
+            TaskSpec::new(
+                format!("t{i}"),
+                zoo::by_name(model).expect("zoo model"),
+                period,
+                deadline,
+            )
+            .with_buffer_bytes(buffer)
+            .with_activation_budget(budget),
+        );
+    }
+    let line = format!(
+        r#"{{"id":"{id}","platform":"stm32f746-qspi","options":{{"segment_compute_cap_us":{cap}}},"tasks":[{}]}}"#,
+        wire.join(",")
+    );
+    let options = FrameworkOptions {
+        segment_compute_cap_us: Some(cap),
+        ..FrameworkOptions::default()
+    };
+    let mut fw = RtMdm::with_options(PlatformConfig::stm32f746_qspi(), options).expect("platform");
+    for spec in specs {
+        if fw.add_task(spec).is_err() {
+            return (line, None);
+        }
+    }
+    (line, fw.admit().ok())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    /// Every numeric wire field at an integer extreme: each line gets
+    /// exactly one single-line record (never a panic), and no set that
+    /// direct admission accepts holds SRAM rows summing past the
+    /// platform's SRAM.
+    #[test]
+    fn adversarial_integers_answer_once_and_never_overfill_sram(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let requests: Vec<_> = (0..3)
+            .map(|i| hostile_request(&mut rng, &format!("adv-{i}")))
+            .collect();
+        let lines: Vec<String> = requests.iter().map(|(line, _)| line.clone()).collect();
+        let out = Service::new().answer_batch(lines.clone());
+        prop_assert_eq!(out.len(), lines.len());
+        for (line, answer) in lines.iter().zip(&out) {
+            prop_assert!(!answer.contains('\n'), "{}: {}", line, answer);
+            prop_assert!(answer.starts_with(r#"{"schema":"rtmdm-serve/1""#), "{}: {}", line, answer);
+            prop_assert_eq!(answer.matches(r#""ok":"#).count(), 1, "{}: {}", line, answer);
+        }
+        let sram = PlatformConfig::stm32f746_qspi().sram_bytes;
+        for (line, direct) in &requests {
+            if let Some(admission) = direct {
+                let used = admission.sram.iter().try_fold(0u64, |acc, row| {
+                    acc.checked_add(row.activation_bytes)?.checked_add(row.weight_bytes)
+                });
+                prop_assert!(
+                    used.is_some_and(|bytes| bytes <= sram),
+                    "{}: SRAM rows {:?} exceed {} bytes",
+                    line,
+                    admission.sram,
+                    sram
+                );
+            }
+        }
+    }
 }
 
 /// A 200 000-deep array is an error record, not a stack overflow, and
